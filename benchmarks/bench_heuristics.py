@@ -9,9 +9,10 @@ objective.
 """
 
 from repro.analysis.tables import render_table
-from repro.core.optimizer import ExhaustiveOptimizer
-from repro.exts.heuristics import (
+from repro.core.search import (
+    ExhaustiveOptimizer,
     GreedyGrowth,
+    SearchSpace,
     SimulatedAnnealing,
     full_candidate_space,
 )
@@ -20,13 +21,14 @@ from repro.exts.heuristics import (
 def test_heuristics_vs_exhaustive_paper_cluster(
     benchmark, spec, nl_pipeline, write_result
 ):
-    estimator = nl_pipeline.estimator()
+    objective = nl_pipeline.estimate_grid
     n = 8000
     space = full_candidate_space(spec, max_procs=6)
-    exhaustive = ExhaustiveOptimizer(estimator, space).optimize(n)
+    exhaustive = ExhaustiveOptimizer(objective, space).optimize(n)
 
-    greedy = GreedyGrowth(spec, estimator).search(n)
-    annealing = SimulatedAnnealing(spec, estimator).search(n, steps=300, seed=1)
+    lattice = SearchSpace.from_spec(spec, max_procs=6)
+    greedy = GreedyGrowth(lattice, objective).search(n)
+    annealing = SimulatedAnnealing(lattice, objective).search(n, steps=300, seed=1)
 
     kinds = nl_pipeline.plan.kinds
     rows = [
@@ -64,4 +66,4 @@ def test_heuristics_vs_exhaustive_paper_cluster(
     assert annealing.best_estimate <= exhaustive.best.estimate_s * 1.05
     assert greedy.evaluations < len(space) / 3
 
-    benchmark(lambda: GreedyGrowth(spec, estimator).search(n))
+    benchmark(lambda: GreedyGrowth(lattice, objective).search(n))

@@ -32,7 +32,7 @@ def _problem():
 def test_pruned_frontier_evaluation_gate(benchmark, write_result):
     problem = _problem()
     brute = enumerate_frontier(
-        problem.estimator, problem.resolved_candidates(), N, problem.cost
+        problem.objective, problem.resolved_candidates(), N, problem.cost
     )
     pruned = create_search("budget-frontier", problem).frontier(N)
 

@@ -2,14 +2,16 @@
 
 The 4-kind synthetic instance (28 560 candidates, the same instance
 ``bench_search_backends`` uses for its exact-search gate) pits each
-backend's grid path against its scalar reference — the identical backend
-with the kernel unplugged, so both sides run the same control flow and
+backend's vectorized objective against its scalar reference — the
+identical backend searching ``grid_from_scalar(synthetic_estimator(...))``,
+one Python call per cell, so both sides run the same control flow and
 produce bitwise-equal outcomes (asserted before any timing is trusted).
 
 Gates (from the ISSUE):
 
 * **exhaustive, full space**: ranking all 28 560 candidates through the
-  grid estimator is **>= 10x** faster than the per-candidate scalar loop;
+  vectorized objective is **>= 10x** faster than through the per-cell
+  scalar reference;
 * **beam/anneal frontier rounds**: evaluating a round's deduplicated
   neighbor frontier as one block is **>= 3x** faster than evaluating it
   state by state.
@@ -27,7 +29,13 @@ import time
 from pathlib import Path
 
 from repro.analysis.tables import render_table
-from repro.core.search import create_search, synthetic_problem
+from repro.core.search import (
+    create_search,
+    grid_from_scalar,
+    synthetic_estimator,
+    synthetic_kind_params,
+    synthetic_problem,
+)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -41,8 +49,12 @@ def _problem():
     return synthetic_problem(n_kinds=4, pes_per_kind=4, max_procs=3)
 
 
+def _estimator():
+    return synthetic_estimator(synthetic_kind_params(4))
+
+
 def _scalar_problem(problem):
-    return dataclasses.replace(problem, grid_estimator=None)
+    return dataclasses.replace(problem, objective=grid_from_scalar(_estimator()))
 
 
 def _best_of(fn, reps: int) -> float:
@@ -136,8 +148,8 @@ def _captured_frontiers(problem, tag: str):
 
 def test_frontier_round_gate(write_result):
     problem = _problem()
-    estimator = problem.estimator
-    grid_estimator = problem.grid_estimator
+    estimator = _estimator()
+    objective = problem.objective
 
     rows = []
     results = {}
@@ -152,7 +164,7 @@ def test_frontier_round_gate(write_result):
 
         def grid_rounds():
             for configs in frontiers:
-                grid_estimator(configs, [N])
+                objective(configs, [N])
 
         scalar_s = _best_of(scalar_rounds, 5)
         grid_s = _best_of(grid_rounds, 5)

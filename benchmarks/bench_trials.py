@@ -12,8 +12,8 @@ outliers (8% of runs are 3x slower) and compares:
 from repro.analysis.tables import render_table
 from repro.core.composition import CompositionPolicy
 from repro.core.model_store import ModelStore
-from repro.core.optimizer import ExhaustiveOptimizer
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
+from repro.core.search import ExhaustiveOptimizer, grid_from_scalar
 from repro.hpl.driver import NoiseSpec
 from repro.measure.grids import nl_plan
 from repro.measure.trials import run_campaign_with_trials
@@ -49,7 +49,9 @@ def test_trials_beat_outliers(benchmark, spec, write_result):
 
     def worst_regret(dataset):
         estimator = _estimator_from(dataset, spec)
-        optimizer = ExhaustiveOptimizer(estimator, list(plan.evaluation_configs))
+        optimizer = ExhaustiveOptimizer(
+            grid_from_scalar(estimator), list(plan.evaluation_configs)
+        )
         worst = 0.0
         for n in (4800, 6400, 9600):
             best = optimizer.optimize(n).best

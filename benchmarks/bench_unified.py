@@ -11,13 +11,13 @@ This bench quantifies the trade on the Basic and NS datasets:
 """
 
 from repro.analysis.tables import render_table
-from repro.core.optimizer import ExhaustiveOptimizer
+from repro.core.search import ExhaustiveOptimizer, grid_from_scalar
 from repro.core.unified_model import UnifiedEstimator
 
 
-def _regret(pipeline, estimator, n):
+def _regret(pipeline, objective, n):
     optimizer = ExhaustiveOptimizer(
-        estimator, list(pipeline.plan.evaluation_configs)
+        objective, list(pipeline.plan.evaluation_configs)
     )
     best = optimizer.optimize(n).best
     chosen = pipeline.measured_time(best.config, n)
@@ -32,8 +32,10 @@ def test_unified_vs_stacked(benchmark, basic_pipeline, ns_pipeline, write_result
     rows = []
     worst = {"stacked": 0.0, "unified": 0.0}
     for n in (4800, 6400, 8000, 9600):
-        stacked_regret, _ = _regret(basic_pipeline, basic_pipeline.estimator(), n)
-        unified_regret, _ = _regret(basic_pipeline, unified_basic.estimator(), n)
+        stacked_regret, _ = _regret(basic_pipeline, basic_pipeline.estimate_grid, n)
+        unified_regret, _ = _regret(
+            basic_pipeline, grid_from_scalar(unified_basic.estimator()), n
+        )
         worst["stacked"] = max(worst["stacked"], stacked_regret)
         worst["unified"] = max(worst["unified"], unified_regret)
         rows.append([n, f"{stacked_regret:+.3f}", f"{unified_regret:+.3f}"])

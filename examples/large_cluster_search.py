@@ -15,12 +15,13 @@ import time
 
 from repro import synthetic_cluster
 from repro.analysis.tables import render_table
-from repro.core.optimizer import ExhaustiveOptimizer
-from repro.exts.heuristics import (
+from repro.core.search import (
+    ExhaustiveOptimizer,
     GreedyGrowth,
     HillClimber,
+    SearchSpace,
     SimulatedAnnealing,
-    full_candidate_space,
+    grid_from_scalar,
 )
 
 spec = synthetic_cluster([0.2, 0.4, 0.8, 1.6, 3.2], nodes_per_kind=2, cpus_per_node=1)
@@ -29,7 +30,7 @@ print(spec.describe(), "\n")
 rates = {kind.name: kind.peak_gflops * 1e9 for kind in spec.kinds}
 
 
-def objective(config, n):
+def time_of(config, n):
     """Bottleneck-kind time + a P-growing communication tax — the shape the
     fitted models produce, in closed form so the example runs instantly."""
     p = config.total_processes
@@ -48,17 +49,22 @@ def objective(config, n):
 N = 20000
 MAX_PROCS = 4
 
+# Every search backend takes a grid objective (configs x sizes -> seconds);
+# grid_from_scalar lifts the per-configuration function into one.
+objective = grid_from_scalar(time_of)
+lattice = SearchSpace.from_spec(spec, max_procs=MAX_PROCS)
+
 start = time.perf_counter()
-space = full_candidate_space(spec, max_procs=MAX_PROCS)
+space = list(lattice.configs())
 exhaustive = ExhaustiveOptimizer(objective, space).optimize(N)
 exhaustive_s = time.perf_counter() - start
 
 methods = {
-    "greedy growth": GreedyGrowth(spec, objective, max_procs=MAX_PROCS).search(N),
-    "hill climbing (4 restarts)": HillClimber(spec, objective, max_procs=MAX_PROCS).search(
+    "greedy growth": GreedyGrowth(lattice, objective).search(N),
+    "hill climbing (4 restarts)": HillClimber(lattice, objective).search(
         N, restarts=4, seed=1
     ),
-    "simulated annealing": SimulatedAnnealing(spec, objective, max_procs=MAX_PROCS).search(
+    "simulated annealing": SimulatedAnnealing(lattice, objective).search(
         N, steps=600, seed=1
     ),
 }

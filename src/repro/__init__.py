@@ -27,7 +27,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.measure` — campaign grids, datasets, cost accounting.
 * :mod:`repro.core` — the paper's models and optimizer (the contribution).
 * :mod:`repro.analysis` — tables, correlation scatter, reports.
-* :mod:`repro.exts` — heuristic search, 2-D grids, a second application.
+* :mod:`repro.exts` — 2-D grids, other applications, related-work baselines.
 """
 
 from repro.cluster import (

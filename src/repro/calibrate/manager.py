@@ -30,7 +30,7 @@ from repro.calibrate.drift import (
     DriftState,
     ResidualTracker,
 )
-from repro.calibrate.observations import Observation, ObservationLog
+from repro.calibrate.observations import ObservationLog
 from repro.calibrate.recalibrate import Recalibrator, ShadowReport
 from repro.calibrate.versions import ModelVersions, VersionInfo
 
@@ -105,16 +105,21 @@ class Calibrator:
     def ingest(
         self, record: MeasurementRecord, source: str = "live"
     ) -> IngestResult:
-        """Log one observed run and fold its residual into the loop.
+        """Score one observed run, log it, and fold its residual into the
+        loop.
 
-        The logged row carries the owning pipeline's workload tag, so a
-        replayed log knows which family's simulator produced each run."""
+        Scoring comes first: a run whose residual is not finite raises
+        :class:`CalibrationError` before anything reaches the durable log,
+        so a bad observation cannot break later replays.  The logged row
+        carries the owning pipeline's workload tag, so a replayed log
+        knows which family's simulator produced each run."""
         with self.perf.stage("ingest"):
-            observation = self.log.append(
+            scored = self._score(record, len(self.log), source)
+            self.log.append(
                 record, source=source,
                 workload=self.pipeline.config.workload,
             )
-            result = self._absorb(self._score(observation))
+            result = self._absorb(scored)
         return result
 
     def replay_dataset(self, dataset: Dataset, source: str = "dataset") -> list:
@@ -130,14 +135,16 @@ class Calibrator:
         results = []
         with self.perf.stage("ingest"):
             for observation in self.log:
-                results.append(
-                    self._absorb(self._score(observation), count_metric=False)
+                scored = self._score(
+                    observation.record, observation.seq, observation.source
                 )
+                results.append(self._absorb(scored, count_metric=False))
         return results
 
-    def _score(self, observation: Observation) -> IngestResult:
+    def _score(
+        self, record: MeasurementRecord, seq: int, source: str
+    ) -> IngestResult:
         pipeline = self.pipeline
-        record = observation.record
         predicted: Optional[float] = None
         residual: Optional[float] = None
         per_kind: Dict[str, float] = {}
@@ -156,9 +163,15 @@ class Calibrator:
                     per_kind[km.kind_name] = (
                         (km.total - kind_estimate.total) / kind_estimate.total
                     )
+        residuals = [] if residual is None else [residual, *per_kind.values()]
+        if not all(isfinite(value) for value in residuals):
+            raise CalibrationError(
+                f"observation {seq} ({record.label} at N={record.n}) gives "
+                f"a non-finite residual against prediction {predicted!r}"
+            )
         return IngestResult(
-            seq=observation.seq,
-            source=observation.source,
+            seq=seq,
+            source=source,
             observed=record.wall_time_s,
             predicted=predicted,
             residual=residual,

@@ -177,7 +177,6 @@ class EstimationPipeline:
             perf=self.perf,
             workload=self.workload,
             memory_ratio_fn=self._memory_ratio_for,
-            scalar_estimate=lambda config, n: self.estimate(config, n).total,
             batch_estimate=self.estimate_totals,
             candidates=lambda: list(self.plan.evaluation_configs),
         )
@@ -303,19 +302,6 @@ class EstimationPipeline:
         rule).  Building it forces the model fit."""
         return self._engine.estimate_cache
 
-    def estimator(self, cached: bool = False):
-        """The objective function for optimizers: (config, n) -> seconds.
-
-        ``cached=True`` routes lookups through :attr:`estimate_cache`
-        (identical values; repeated queries become dict hits).
-        """
-        return self._engine.estimator(cached=cached)
-
-    def batch_estimator(self):
-        """Vectorized + cached objective for ``optimize_many``:
-        ``(config, [n...]) -> array of seconds``."""
-        return self._engine.batch_estimator()
-
     def estimate_grid(
         self, configs: Sequence[ClusterConfig], ns: Sequence[int]
     ) -> np.ndarray:
@@ -326,11 +312,6 @@ class EstimationPipeline:
         evaluations (see :mod:`repro.core.grid_kernel`); cached cells are
         served from :attr:`estimate_cache`."""
         return self._engine.estimate_grid(configs, ns)
-
-    def grid_estimator(self):
-        """The candidate-axis objective for search backends:
-        ``(configs, [n...]) -> (C, S) array`` (see :meth:`estimate_grid`)."""
-        return self._engine.grid_estimator()
 
     def optimizer(
         self,

@@ -20,14 +20,15 @@ heuristics trade completeness for evaluation count.  ``branch-bound`` and
 ``stats.exhausted=True`` when it runs out (the local searchers honor a
 budget, too).
 
+Every backend evaluates one objective shape, the grid
+``(configs, [n...]) -> (C, S)`` seconds (:data:`GridEstimator`); lift a
+plain ``(config, n) -> seconds`` function with :func:`grid_from_scalar`.
 Construct a backend from a :class:`SearchProblem` with
 :func:`create_search`; importing this package registers every built-in
 backend.
 """
 
 from repro.core.search.base import (
-    BatchEstimator,
-    Estimator,
     GridEstimator,
     RankedEstimate,
     SearchBackend,
@@ -35,6 +36,8 @@ from repro.core.search.base import (
     SearchProblem,
     SearchStats,
     actual_best,
+    evaluate_grid,
+    grid_from_scalar,
     rank_evaluations,
     validated_estimate,
     validated_estimates,
@@ -60,17 +63,16 @@ from repro.core.search.registry import (
 )
 from repro.core.search.space import SearchSpace
 from repro.core.search.synthetic import (
+    synthetic_estimator,
     synthetic_kind_params,
     synthetic_kind_time,
     synthetic_problem,
 )
 
 __all__ = [
-    "BatchEstimator",
     "BeamSearch",
     "BranchBoundSearch",
     "DEFAULT_BACKEND",
-    "Estimator",
     "ExhaustiveOptimizer",
     "GreedyGrowth",
     "GridEstimator",
@@ -87,12 +89,15 @@ __all__ = [
     "actual_best",
     "create_search",
     "estimator_bounds",
+    "evaluate_grid",
     "full_candidate_space",
+    "grid_from_scalar",
     "iter_search_registry",
     "rank_evaluations",
     "register_search",
     "registered_search_backends",
     "search_backend_class",
+    "synthetic_estimator",
     "synthetic_kind_params",
     "synthetic_kind_time",
     "synthetic_problem",

@@ -4,12 +4,13 @@ The paper's Section 3.1 frames configuration selection as combinatorial
 optimization with the fitted model as the objective.  This module holds
 everything that is *not* specific to how a backend explores the space:
 
+* :data:`GridEstimator` — the one objective shape,
+  ``(configs, [n...]) -> (C, S)`` seconds, and :func:`grid_from_scalar`,
+  which lifts a plain ``(config, n) -> seconds`` function into it;
 * :class:`RankedEstimate` / :class:`SearchOutcome` — the result types
-  every backend returns (moved here from ``repro.core.optimizer``, which
-  re-exports them for compatibility);
+  every backend returns;
 * :class:`SearchStats` — per-run cost accounting (evaluations, prune
-  counts, best-so-far trace; moved here from ``repro.exts.heuristics``
-  and extended with the branch-and-bound counters);
+  counts, best-so-far trace, branch-and-bound counters);
 * :class:`SearchProblem` — one bundle of objective + space + options
   that :func:`repro.core.search.registry.create_search` hands to a
   backend's ``from_problem`` constructor;
@@ -34,24 +35,51 @@ from repro.cluster.config import ClusterConfig
 from repro.core.search.space import SearchSpace
 from repro.errors import SearchError
 
-#: An estimator maps (configuration, problem order) -> estimated seconds.
-Estimator = Callable[[ClusterConfig, int], float]
-
-#: A batch estimator maps (configuration, [n1, n2, ...]) -> array of
-#: estimated seconds, one per size — the vectorized fast path that
-#: :meth:`ExhaustiveOptimizer.optimize_many` uses when available (see
-#: :meth:`repro.core.pipeline.EstimationPipeline.batch_estimator`).
-BatchEstimator = Callable[[ClusterConfig, Sequence[int]], "np.ndarray"]
-
-#: A grid estimator maps (configurations, [n1, n2, ...]) -> a ``(C, S)``
-#: array of estimated seconds — the candidate-axis vectorized kernel
-#: (see :meth:`repro.core.pipeline.EstimationPipeline.estimate_grid`).
-#: Contract: element ``[i, j]`` is **bitwise** the scalar estimator's
-#: value for ``(configs[i], ns[j])``, so backends may freely mix block
-#: and scalar evaluation without changing any produced number.
+#: A grid objective maps (configurations, [n1, n2, ...]) -> a ``(C, S)``
+#: array of estimated seconds — the one objective shape every backend
+#: evaluates (see :meth:`repro.core.pipeline.EstimationPipeline.estimate_grid`
+#: for the model-based one, :func:`grid_from_scalar` for plain functions).
+#: Backends may evaluate any subset of cells, in any blocking, so cell
+#: ``[i, j]`` must depend on ``(configs[i], ns[j])`` alone.
 GridEstimator = Callable[
     [Sequence[ClusterConfig], Sequence[int]], "np.ndarray"
 ]
+
+
+def grid_from_scalar(
+    fn: Callable[[ClusterConfig, int], float],
+) -> GridEstimator:
+    """Lift a plain ``(config, n) -> seconds`` function into a grid
+    objective.  Cells are computed one call each, row by row in
+    ``configs`` order, so an exception from ``fn`` surfaces at the first
+    bad cell exactly as a per-candidate loop would raise it."""
+
+    def objective(
+        configs: Sequence[ClusterConfig], ns: Sequence[int]
+    ) -> np.ndarray:
+        sizes = [int(n) for n in ns]
+        out = np.empty((len(configs), len(sizes)), dtype=float)
+        for i, config in enumerate(configs):
+            for j, n in enumerate(sizes):
+                out[i, j] = fn(config, n)
+        return out
+
+    return objective
+
+
+def evaluate_grid(
+    objective: GridEstimator,
+    configs: Sequence[ClusterConfig],
+    ns: Sequence[int],
+) -> np.ndarray:
+    """One objective call over ``configs x ns``, shape-checked."""
+    grid = np.asarray(objective(configs, ns), dtype=float)
+    expected = (len(configs), len(ns))
+    if grid.shape != expected:
+        raise SearchError(
+            f"grid objective returned shape {grid.shape}, expected {expected}"
+        )
+    return grid
 
 
 @dataclass
@@ -224,10 +252,8 @@ def validated_estimates(
     """Vectorized :func:`validated_estimate` over one block of candidates.
 
     Checks the whole array at once and, when something is wrong, raises
-    the *identical* :class:`SearchError` the scalar loop would have
-    raised at the first offending candidate in ``configs`` order — so a
-    grid-evaluating backend reports the same failure, on the same
-    candidate, as its scalar reference.
+    the *identical* :class:`SearchError` a per-candidate loop would have
+    raised at the first offending candidate in ``configs`` order.
     """
     arr = np.asarray(values, dtype=float)
     bad = np.isnan(arr) | (arr < 0)
@@ -295,17 +321,13 @@ class SearchProblem:
     :meth:`resolved_candidates`.
     """
 
-    estimator: Estimator
+    #: The grid objective: every backend evaluates candidate blocks
+    #: through it (exhaustive: the full grid; local searchers: each
+    #: round's neighbor frontier; branch-and-bound: leaf blocks).
+    objective: GridEstimator
     candidates: Optional[Sequence[ClusterConfig]] = None
     space: Optional[SearchSpace] = None
     kinds: Optional[Sequence[str]] = None
-    batch_estimator: Optional[BatchEstimator] = None
-    #: Candidate-axis vectorized objective ``(configs, [n...]) -> (C, S)``
-    #: array; when present every backend evaluates candidate blocks in
-    #: one kernel call (exhaustive: the full grid; local searchers: each
-    #: round's neighbor frontier; branch-and-bound: leaf blocks) while
-    #: staying bitwise-identical to the scalar ``estimator``.
-    grid_estimator: Optional[GridEstimator] = None
     #: Lower-bound oracle for branch-and-bound (duck-typed
     #: :class:`repro.core.search.bounds.KindTimeBound`); without one,
     #: branch-and-bound cannot prune and refuses to run.

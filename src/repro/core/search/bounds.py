@@ -49,7 +49,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.adjustment import LinearAdjustment
-from repro.core.estimator import Estimator as EstimatorFacade
+from repro.core.estimator import Estimator
 from repro.errors import ModelError, SearchError
 
 #: ``kind_time(kind, mi, n, p_array) -> array`` of that kind's clamped
@@ -159,7 +159,7 @@ class KindTimeBound:
 
 
 def estimator_bounds(
-    facade: EstimatorFacade,
+    facade: Estimator,
     adjustment: Optional[LinearAdjustment],
     p_max: int,
 ) -> KindTimeBound:

@@ -19,7 +19,7 @@ one array slice minimum.  A subtree is cut only when its bound
 *strictly* exceeds the incumbent value — so every candidate whose value
 ties the optimum is still evaluated, and the final winner is selected by
 the same ``(estimate, config.key())`` order the exhaustive optimizer
-uses.  Since both backends call the identical estimator on the winning
+uses.  Since both backends ask the identical objective about the winning
 configuration, branch-and-bound agrees with exhaustive **bitwise** on
 ``SearchOutcome.best`` (the golden tests assert this on the paper grid).
 
@@ -36,18 +36,18 @@ from __future__ import annotations
 
 import math
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.core.search.base import (
-    Estimator,
     GridEstimator,
     SearchBackend,
     SearchOutcome,
     SearchProblem,
     SearchStats,
+    evaluate_grid,
     rank_evaluations,
     validated_estimate,
 )
@@ -63,10 +63,9 @@ class BranchBoundSearch(SearchBackend):
 
     def __init__(
         self,
-        estimator: Estimator,
+        objective: GridEstimator,
         space: SearchSpace,
         bounds: KindTimeBound,
-        grid_estimator: Optional[GridEstimator] = None,
         allow_unestimable: bool = True,
         budget: Optional[int] = None,
         work_factor: int = 256,
@@ -80,13 +79,12 @@ class BranchBoundSearch(SearchBackend):
             raise SearchError(f"budget must be >= 1, got {budget}")
         if work_factor < 1:
             raise SearchError(f"work_factor must be >= 1, got {work_factor}")
-        self.estimator = estimator
+        #: Leaf blocks are prefetched through the objective while the
+        #: bounds stay incremental (the DFS walk, pruning and budget
+        #: decisions replay over the prefetched values).
+        self.objective = objective
         self.space = space
         self.bounds = bounds
-        #: Candidate-axis kernel: leaf blocks are prefetched through it
-        #: while the bounds stay incremental (the DFS walk, pruning and
-        #: budget decisions replay over bitwise-equal values).
-        self.grid_estimator = grid_estimator
         self.allow_unestimable = allow_unestimable
         self.budget = budget
         self.work_factor = work_factor
@@ -144,10 +142,9 @@ class BranchBoundSearch(SearchBackend):
                 "(SearchProblem.bounds); without one it cannot prune"
             )
         return cls(
-            problem.estimator,
+            problem.objective,
             space,
             problem.bounds,
-            grid_estimator=problem.grid_estimator,
             allow_unestimable=problem.allow_unestimable,
             budget=budget,
             work_factor=work_factor,
@@ -210,7 +207,7 @@ class BranchBoundSearch(SearchBackend):
         space = self.space
         n_kinds = len(space.kinds)
         assignment: List[Tuple[int, int]] = []
-        # Leaf values prefetched through the grid kernel, keyed by the
+        # Leaf values prefetched through the objective, keyed by the
         # full choice assignment; the leaf branch consumes (pops) them in
         # its original DFS order, so pruning, incumbents and the budget
         # replay identically over bitwise-equal values.
@@ -238,7 +235,7 @@ class BranchBoundSearch(SearchBackend):
                 config = space.config_of(assignment)
                 raw = leaf_values.pop(tuple(assignment), None)
                 if raw is None:
-                    raw = float(self.estimator(config, n))
+                    raw = float(evaluate_grid(self.objective, [config], [n])[0, 0])
                 value = validated_estimate(
                     raw, config, n, self.allow_unestimable
                 )
@@ -273,7 +270,7 @@ class BranchBoundSearch(SearchBackend):
             # Most promising subtree first: tighter incumbents earlier
             # mean more pruning later (and better anytime behavior).
             children.sort(key=lambda item: (item[0], item[1]))
-            if self.grid_estimator is not None and depth + 1 == n_kinds:
+            if depth + 1 == n_kinds:
                 # Prefetch the leaf block this node will evaluate: every
                 # runnable child that survives the *pre-block* incumbent
                 # check, capped at the remaining budget.  A mid-block
@@ -296,14 +293,7 @@ class BranchBoundSearch(SearchBackend):
                     block.append(tuple(assignment) + (choice,))
                 if len(block) > 1:
                     configs = [space.config_of(key) for key in block]
-                    values = np.asarray(
-                        self.grid_estimator(configs, [n]), dtype=float
-                    )
-                    if values.shape != (len(block), 1):
-                        raise SearchError(
-                            f"grid estimator returned shape {values.shape},"
-                            f" expected ({len(block)}, 1)"
-                        )
+                    values = evaluate_grid(self.objective, configs, [n])
                     for key, value in zip(block, values[:, 0]):
                         leaf_values[key] = float(value)
             for index, (bound, choice, child_p, child_mi, child_profile) in (
@@ -329,9 +319,3 @@ class BranchBoundSearch(SearchBackend):
         return rank_evaluations(
             n, evaluated, started, stats=stats, complete=complete
         )
-
-    def optimize_many(self, ns: Sequence[int]) -> List[SearchOutcome]:
-        sizes = [int(n) for n in ns]
-        if not sizes:
-            raise SearchError("optimize_many needs at least one size")
-        return [self.optimize(n) for n in sizes]

@@ -1,12 +1,10 @@
 """Local-search backends over the product configuration lattice.
 
-The three classic heuristics of the paper's future-work Section 5
-(originally ``repro.exts.heuristics``, which still re-exports them) plus
-a deterministic beam/local-search hybrid, all generalized from "a
-cluster spec with processes 1..max_procs" to any
+The three classic heuristics of the paper's future-work Section 5 plus
+a deterministic beam/local-search hybrid, over any
 :class:`~repro.core.search.space.SearchSpace` — moves step between a
-kind's *available* choices, which for a full spec-derived space
-reproduces the original ±1 moves exactly.
+kind's *available* choices, which for a spec-derived space
+(:meth:`SearchSpace.from_spec`) are the plain ±1 moves.
 
 * :class:`GreedyGrowth` — start from the best single-PE configuration and
   repeatedly take the best *improving move*; stops at a local optimum.
@@ -29,19 +27,19 @@ import inspect
 import math
 import time
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig, KindAllocation
 from repro.cluster.spec import ClusterSpec
 from repro.core.search.base import (
-    Estimator,
     GridEstimator,
     SearchBackend,
     SearchOutcome,
     SearchProblem,
     SearchStats,
+    evaluate_grid,
     rank_evaluations,
     validated_estimate,
 )
@@ -79,40 +77,21 @@ def _predecessor(values: List[int], current: int) -> Optional[int]:
 class LocalSearchBase(SearchBackend):
     """Shared state/move machinery of the local searchers.
 
-    Constructible two ways: the original ``(spec, estimator, max_procs)``
-    signature (kept for compatibility — ``spec`` and ``max_procs`` stay
-    available as attributes), or with a :class:`SearchSpace` in place of
-    the spec, which is how :meth:`from_problem` builds instances for
-    candidate grids and synthetic spaces.
+    Built from a :class:`SearchSpace` and a grid objective (a cluster
+    spec's full space is ``SearchSpace.from_spec(spec, max_procs)``).
+    Frontiers are *prefetched* through the objective as blocks, then the
+    search consumes the values in its own sequential control flow, so
+    stats, trace, budget exhaustion and cache contents do not depend on
+    how the objective blocks its cells.
     """
 
-    def __init__(
-        self,
-        spec: Union[ClusterSpec, SearchSpace],
-        estimator: Estimator,
-        max_procs: int = 6,
-    ):
-        if isinstance(spec, SearchSpace):
-            self.spec: Optional[ClusterSpec] = None
-            self.space = spec
-            self.max_procs = spec.max_procs_per_pe
-        else:
-            if max_procs < 1:
-                raise SearchError("max_procs must be >= 1")
-            self.spec = spec
-            self.space = SearchSpace.from_spec(spec, max_procs)
-            self.max_procs = max_procs
-        self.estimator = estimator
+    def __init__(self, space: SearchSpace, objective: GridEstimator):
+        self.space = space
+        self.objective = objective
         self.kinds = list(self.space.kinds)
         self._pe_values = {k: self.space.pe_values(k) for k in self.kinds}
         self._m_values = {k: self.space.m_values(k) for k in self.kinds}
         self._cache: Dict[Tuple[State, int], float] = {}
-        #: Candidate-axis grid kernel (None = scalar evaluation).  The
-        #: kernel is a pure value oracle: frontiers are *prefetched* as
-        #: blocks, then the search consumes the values in its original
-        #: scalar control flow, so stats, trace, budget exhaustion and
-        #: cache contents are identical with or without it.
-        self._grid: Optional[GridEstimator] = None
         self._prefetched: Dict[Tuple[State, int], float] = {}
         self._allow_unestimable = True
         self._budget: Optional[int] = None
@@ -126,8 +105,7 @@ class LocalSearchBase(SearchBackend):
     ) -> "LocalSearchBase":
         if budget is not None and budget < 1:
             raise SearchError(f"budget must be >= 1, got {budget}")
-        instance = cls(problem.resolved_space(), problem.estimator)
-        instance._grid = problem.grid_estimator
+        instance = cls(problem.resolved_space(), problem.objective)
         instance._allow_unestimable = problem.allow_unestimable
         instance._budget = budget
         instance._seed = problem.seed
@@ -149,16 +127,14 @@ class LocalSearchBase(SearchBackend):
     def _prefetch(
         self, frontier: Sequence[State], n: int, stats: SearchStats
     ) -> None:
-        """Deduplicate a neighbor frontier and, with a grid kernel, block-
-        evaluate the fresh states in one call.
+        """Deduplicate a neighbor frontier and block-evaluate the fresh
+        states in one objective call.
 
         States duplicated within the frontier or already evaluated this
-        run are counted as ``dedup_hits`` (the counting runs in scalar
-        mode too, so the stats do not depend on the kernel).  Prefetched
-        values sit in ``self._prefetched`` until :meth:`_evaluate`
-        consumes them in the searcher's original order — unconsumed cells
-        never touch the cache, the stats or the budget, which is what
-        keeps block evaluation bitwise-identical to the scalar path.
+        run are counted as ``dedup_hits``.  Prefetched values sit in
+        ``self._prefetched`` until :meth:`_evaluate` consumes them in the
+        searcher's own order — unconsumed cells never touch the cache,
+        the stats or the budget.
         """
         fresh: List[State] = []
         seen: set = set()
@@ -169,21 +145,15 @@ class LocalSearchBase(SearchBackend):
                 continue
             seen.add(state)
             if key in self._prefetched:
-                # Already block-evaluated by an earlier frontier (grid
-                # mode only) — not re-counted, but still marked seen so
-                # an in-frontier duplicate counts exactly as it would in
-                # the scalar run (where this state would be fresh).
+                # Already block-evaluated by an earlier frontier — not
+                # re-counted, but still marked seen so an in-frontier
+                # duplicate counts as a dedup hit.
                 continue
             fresh.append(state)
-        if self._grid is None or not fresh:
+        if not fresh:
             return
         configs = [self._to_config(state) for state in fresh]
-        block = np.asarray(self._grid(configs, [n]), dtype=float)
-        if block.shape != (len(fresh), 1):
-            raise SearchError(
-                f"grid estimator returned shape {block.shape}, "
-                f"expected ({len(fresh)}, 1)"
-            )
+        block = evaluate_grid(self.objective, configs, [n])
         for state, value in zip(fresh, block[:, 0]):
             self._prefetched[(state, n)] = float(value)
 
@@ -193,11 +163,9 @@ class LocalSearchBase(SearchBackend):
             if self._budget is not None and stats.evaluations >= self._budget:
                 raise _BudgetExhausted()
             config = self._to_config(state)
-            prefetched = self._prefetched.pop(key, None)
-            if prefetched is None:
-                raw = float(self.estimator(config, n))
-            else:
-                raw = prefetched
+            raw = self._prefetched.pop(key, None)
+            if raw is None:
+                raw = float(evaluate_grid(self.objective, [config], [n])[0, 0])
             value = validated_estimate(
                 raw, config, n, self._allow_unestimable
             )
@@ -480,8 +448,8 @@ class BeamSearch(LocalSearchBase):
             best_value = scored[0][0]
             stale = 0
             for _ in range(max_rounds):
-                # Collect the round's whole frontier first so the grid
-                # kernel sees one deduplicated block; the pool below then
+                # Collect the round's whole frontier first so the
+                # objective sees one deduplicated block; the pool below then
                 # consumes the values in the original expansion order.
                 expansions = [(state, self._moves(state)) for state in beam]
                 frontier: List[State] = []

@@ -63,7 +63,7 @@ def synthetic_kind_time(
 ) -> Callable[[str, int, int, np.ndarray], np.ndarray]:
     """The vectorized ``kind_time(kind, mi, n, p_array)`` of the model
     above — both the bound oracle's profile source and the building block
-    of the scalar objective."""
+    of :func:`synthetic_estimator`."""
 
     def kind_time(kind: str, mi: int, n: int, p_arr: np.ndarray) -> np.ndarray:
         rate, alpha, lat, bw = params[kind]
@@ -74,6 +74,29 @@ def synthetic_kind_time(
         return ta + tc
 
     return kind_time
+
+
+def synthetic_estimator(
+    params: Dict[str, Tuple[float, float, float, float]],
+) -> Callable[[ClusterConfig, int], float]:
+    """The model above per configuration, ``(config, n) -> seconds``.
+
+    This is the reference the vectorized objective of
+    :func:`synthetic_problem` is checked against: lifted by
+    :func:`~repro.core.search.base.grid_from_scalar`, it gives the same
+    cells bit for bit."""
+    kind_time = synthetic_kind_time(params)
+
+    def estimator(config: ClusterConfig, n: int) -> float:
+        p = np.array([config.total_processes])
+        return float(
+            max(
+                kind_time(alloc.kind_name, alloc.procs_per_pe, n, p)[0]
+                for alloc in config.active
+            )
+        )
+
+    return estimator
 
 
 def synthetic_problem(
@@ -100,24 +123,15 @@ def synthetic_problem(
         choices.append(tuple(sorted(options)))
     space = SearchSpace(kinds=tuple(kinds), choices=tuple(choices))
     kind_time = synthetic_kind_time(params)
-    # Per-kind parameter vectors for the grid estimator's gather.
+    # Per-kind parameter vectors for the objective's gather.
     kind_ordinal = {kind: k for k, kind in enumerate(kinds)}
     rate_of, alpha_of, lat_of, bw_of = (
         np.asarray([params[kind][field] for kind in kinds], dtype=float)
         for field in range(4)
     )
 
-    def estimator(config: ClusterConfig, n: int) -> float:
-        p = np.array([config.total_processes])
-        return float(
-            max(
-                kind_time(alloc.kind_name, alloc.procs_per_pe, n, p)[0]
-                for alloc in config.active
-            )
-        )
-
-    def grid_estimator(configs, ns) -> np.ndarray:
-        # Candidate-axis form of ``estimator``: flatten every active
+    def objective(configs, ns) -> np.ndarray:
+        # Candidate-axis form of ``synthetic_estimator``: flatten every active
         # allocation into parallel arrays (one row per (candidate, kind)
         # pair, with its kind's parameters gathered alongside), evaluate
         # the model as one elementwise ufunc chain per size — the exact
@@ -173,11 +187,10 @@ def synthetic_problem(
 
     bounds = KindTimeBound(kind_time, p_max=space.max_total_processes)
     return SearchProblem(
-        estimator=estimator,
+        objective=objective,
         space=space,
         kinds=kinds,
         bounds=bounds,
-        grid_estimator=grid_estimator,
         allow_unestimable=False,
         seed=seed,
     )

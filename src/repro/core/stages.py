@@ -88,9 +88,6 @@ class PipelineContext:
     perf: PerfReport
     #: ``(config, n, kind) -> worst-node memory ratio`` (pipeline-supplied).
     memory_ratio_fn: Callable[[ClusterConfig, int, str], float]
-    #: Adjusted scalar estimate ``(config, n) -> seconds`` — the search
-    #: engine's cache-fill path.
-    scalar_estimate: Callable[[ClusterConfig, int], float]
     #: Vectorized adjusted estimates ``(config, [n...]) -> np.ndarray``.
     batch_estimate: Callable[[ClusterConfig, Sequence[int]], np.ndarray]
     #: Default candidate set for the optimizer.
@@ -449,7 +446,6 @@ class SearchStage(Stage):
             facade=ctx.artifact("estimator"),
             adjustment=ctx.artifact("adjust"),
             guard_footprint=ctx.config.guard_footprint,
-            scalar_estimate=ctx.scalar_estimate,
             batch_estimate=ctx.batch_estimate,
             candidates=ctx.candidates,
             validate=lambda config: config.validate_against(spec),
@@ -530,7 +526,7 @@ def calibration_configs(spec: ClusterSpec, plan, config) -> List[ClusterConfig]:
 
 
 class SearchEngine:
-    """The search stage's artifact: estimate cache + objectives + optimizer.
+    """The search stage's artifact: estimate cache + grid objective + optimizer.
 
     Owns the one :class:`~repro.perf.cache.EstimateCache` of a model
     generation — its fingerprint is built from the estimator facade's
@@ -547,7 +543,6 @@ class SearchEngine:
         facade: Estimator,
         adjustment: LinearAdjustment,
         guard_footprint: float,
-        scalar_estimate: Callable[[ClusterConfig, int], float],
         batch_estimate: Callable[[ClusterConfig, Sequence[int]], np.ndarray],
         candidates: Callable[[], List[ClusterConfig]],
         perf: PerfReport,
@@ -560,7 +555,6 @@ class SearchEngine:
         self.facade = facade
         self.adjustment = adjustment
         self.guard_footprint = guard_footprint
-        self._scalar = scalar_estimate
         self._batch = batch_estimate
         self._candidates = candidates
         self.perf = perf
@@ -590,61 +584,6 @@ class SearchEngine:
             self._cache = EstimateCache(fingerprint)
             self.perf.cache = self._cache
         return self._cache
-
-    def estimator(self, cached: bool = False):
-        """The objective function for optimizers: (config, n) -> seconds.
-
-        ``cached=True`` routes lookups through :attr:`estimate_cache`
-        (identical values; repeated queries become dict hits).
-        """
-        if not cached:
-
-            def objective(config: ClusterConfig, n: int) -> float:
-                return self._scalar(config, n)
-
-            return objective
-
-        def cached_objective(config: ClusterConfig, n: int) -> float:
-            cache = self.estimate_cache
-            key = cache.key_of(config)
-            hit = cache.get(key, n)
-            if hit is not None:
-                return hit
-            value = self._scalar(config, n)
-            cache.put(key, n, value)
-            return value
-
-        return cached_objective
-
-    def batch_estimator(self):
-        """Vectorized + cached objective for ``optimize_many``:
-        ``(config, [n...]) -> array of seconds``.
-
-        Cache hits are served from :attr:`estimate_cache`; only the
-        missing sizes go through one vectorized model evaluation, whose
-        results then populate the cache.
-        """
-
-        def batch_objective(config: ClusterConfig, ns: Sequence[int]) -> np.ndarray:
-            cache = self.estimate_cache
-            sizes = [int(n) for n in ns]
-            out = np.empty(len(sizes), dtype=float)
-            key = cache.key_of(config)
-            missing: List[int] = []
-            for i, n in enumerate(sizes):
-                hit = cache.get(key, n)
-                if hit is None:
-                    missing.append(i)
-                else:
-                    out[i] = hit
-            if missing:
-                values = self._batch(config, [sizes[i] for i in missing])
-                for j, i in enumerate(missing):
-                    out[i] = values[j]
-                    cache.put(key, sizes[i], float(values[j]))
-            return out
-
-        return batch_objective
 
     @property
     def grid_kernel(self) -> GridKernel:
@@ -684,8 +623,7 @@ class SearchEngine:
         """Adjusted estimates of every ``(config, n)`` cell as a
         ``(C, S)`` array, bitwise the scalar estimates.
 
-        Cache-integrated like :meth:`batch_estimator`: every cell is
-        looked up first, the rows with at least one miss go through a
+        Cache-integrated: every cell is looked up first, the rows with at least one miss go through a
         single kernel block, and only the missing cells are written back
         (hit cells keep their cached values, so a warm sweep is pure
         dictionary lookups).
@@ -719,17 +657,6 @@ class SearchEngine:
                         cache.put(key, n, float(block[r, j]))
         return out
 
-    def grid_estimator(self):
-        """The candidate-axis objective for search backends:
-        ``(configs, [n...]) -> (C, S) array`` (see :meth:`estimate_grid`)."""
-
-        def grid_objective(
-            configs: Sequence[ClusterConfig], ns: Sequence[int]
-        ) -> np.ndarray:
-            return self.estimate_grid(configs, ns)
-
-        return grid_objective
-
     def optimizer(
         self,
         candidates: Optional[Sequence[ClusterConfig]] = None,
@@ -739,9 +666,10 @@ class SearchEngine:
     ) -> SearchBackend:
         """A ready-to-run search backend over the candidate grid.
 
-        ``backend=None`` uses the engine's default (the pipeline config's
-        ``search_backend``); the plain exhaustive default keeps its
-        vectorized grid fast path.  Any other tag goes through the search
+        Every backend searches :meth:`estimate_grid`.  ``backend=None``
+        uses the engine's default (the pipeline config's
+        ``search_backend``); the plain exhaustive default is built
+        directly, without a search space or bounds.  Any other tag goes through the search
         registry with a :class:`SearchProblem` carrying the model-derived
         bound oracle (so ``branch-bound`` can prune), the rate card (so
         ``budget-frontier`` can price), and the pipeline seed (so
@@ -755,20 +683,13 @@ class SearchEngine:
             list(candidates) if candidates is not None else self._candidates()
         )
         if tag == "exhaustive" and budget is None and not options:
-            return ExhaustiveOptimizer(
-                self.estimator(),
-                pool,
-                batch_estimator=self.batch_estimator(),
-                grid_estimator=self.grid_estimator(),
-            )
+            return ExhaustiveOptimizer(self.estimate_grid, pool)
         space = SearchSpace.from_candidates(pool)
         problem = SearchProblem(
-            estimator=self.estimator(),
+            objective=self.estimate_grid,
             candidates=pool,
             space=space,
             kinds=list(space.kinds),
-            batch_estimator=self.batch_estimator(),
-            grid_estimator=self.grid_estimator(),
             bounds=estimator_bounds(
                 self.facade, self.adjustment, p_max=space.max_total_processes
             ),

@@ -33,9 +33,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.core.search.base import (
-    Estimator,
+    GridEstimator,
     SearchStats,
-    validated_estimate,
+    evaluate_grid,
+    validated_estimates,
 )
 from repro.cost.evaluate import config_dollar_rate, config_watts
 from repro.cost.model import CostModel
@@ -193,7 +194,7 @@ def assemble_frontier(
 
 
 def enumerate_frontier(
-    estimator: Estimator,
+    objective: GridEstimator,
     candidates: Sequence[ClusterConfig],
     n: int,
     model: CostModel,
@@ -202,19 +203,23 @@ def enumerate_frontier(
 ) -> FrontierOutcome:
     """Brute-force reference: evaluate every candidate, filter.
 
-    Evaluation cost is exactly ``len(candidates)`` objective calls —
-    the baseline the ``budget-frontier`` backend's pruning is gated
-    against in ``benchmarks/bench_pareto.py``.
+    All candidates go through the objective as one block.  Evaluation cost is exactly ``len(candidates)`` cells — the baseline
+    the ``budget-frontier`` backend's pruning is gated against in
+    ``benchmarks/bench_pareto.py``.
     """
+    candidates = list(candidates)
     if not candidates:
         raise SearchError(f"no candidate to enumerate at N={n}")
     started = _time.perf_counter()
     stats = SearchStats(backend="enumerate-frontier")
+    values = validated_estimates(
+        evaluate_grid(objective, candidates, [n])[:, 0],
+        candidates,
+        n,
+        allow_unestimable,
+    )
     points = []
-    for config in candidates:
-        value = validated_estimate(
-            float(estimator(config, n)), config, n, allow_unestimable
-        )
+    for config, value in zip(candidates, values.tolist()):
         stats.record(config, value)
         points.append(build_point(model, config, n, value))
     return assemble_frontier(

@@ -39,13 +39,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.config import ClusterConfig
 from repro.core.search.base import (
-    Estimator,
     GridEstimator,
     SearchOutcome,
     SearchProblem,
     SearchStats,
+    evaluate_grid,
     rank_evaluations,
     validated_estimate,
 )
@@ -70,11 +69,10 @@ class BudgetFrontierSearch(BranchBoundSearch):
 
     def __init__(
         self,
-        estimator: Estimator,
+        objective: GridEstimator,
         space: SearchSpace,
         bounds: KindTimeBound,
         cost: Optional[CostModel] = None,
-        grid_estimator: Optional[GridEstimator] = None,
         allow_unestimable: bool = True,
         budget: Optional[int] = None,
         work_factor: int = 256,
@@ -82,10 +80,9 @@ class BudgetFrontierSearch(BranchBoundSearch):
         alpha: Optional[float] = None,
     ):
         super().__init__(
-            estimator,
+            objective,
             space,
             bounds,
-            grid_estimator=grid_estimator,
             allow_unestimable=allow_unestimable,
             budget=budget,
             work_factor=work_factor,
@@ -138,11 +135,10 @@ class BudgetFrontierSearch(BranchBoundSearch):
                 "(SearchProblem.bounds); without one it cannot prune"
             )
         return cls(
-            problem.estimator,
+            problem.objective,
             space,
             problem.bounds,
             cost=problem.cost,
-            grid_estimator=problem.grid_estimator,
             allow_unestimable=problem.allow_unestimable,
             budget=budget,
             work_factor=work_factor,
@@ -164,7 +160,7 @@ class BudgetFrontierSearch(BranchBoundSearch):
         space = self.space
         n_kinds = len(space.kinds)
         assignment: List[Tuple[int, int]] = []
-        # Leaf values prefetched through the grid kernel (see
+        # Leaf values prefetched through the objective (see
         # BranchBoundSearch.optimize): the leaf branch pops them in its
         # original DFS order, so the two-axis pruning, the archive and
         # the budget replay identically over bitwise-equal values.
@@ -226,7 +222,7 @@ class BudgetFrontierSearch(BranchBoundSearch):
                 config = space.config_of(assignment)
                 raw = leaf_values.pop(tuple(assignment), None)
                 if raw is None:
-                    raw = float(self.estimator(config, n))
+                    raw = float(evaluate_grid(self.objective, [config], [n])[0, 0])
                 value = validated_estimate(
                     raw, config, n, self.allow_unestimable
                 )
@@ -271,7 +267,7 @@ class BudgetFrontierSearch(BranchBoundSearch):
             # Fast subtrees first: early archive points near the frontier's
             # fast end prune more of the slow-and-expensive bulk.
             children.sort(key=lambda item: (item[0], item[1]))
-            if self.grid_estimator is not None and depth + 1 == n_kinds:
+            if depth + 1 == n_kinds:
                 # Prefetch the leaf block with the replay loop's own
                 # ``continue``-style filters.  ``corner_pruned`` only
                 # grows stronger as the archive fills mid-block, so the
@@ -295,19 +291,12 @@ class BudgetFrontierSearch(BranchBoundSearch):
                     block.append(tuple(assignment) + (choice,))
                 if len(block) > 1:
                     configs = [space.config_of(key) for key in block]
-                    values = np.asarray(
-                        self.grid_estimator(configs, [n]), dtype=float
-                    )
-                    if values.shape != (len(block), 1):
-                        raise SearchError(
-                            f"grid estimator returned shape {values.shape},"
-                            f" expected ({len(block)}, 1)"
-                        )
+                    values = evaluate_grid(self.objective, configs, [n])
                     for key, value in zip(block, values[:, 0]):
                         leaf_values[key] = float(value)
             for (t_lb, choice, c_lb, child_p, child_mi,
                  child_rate, child_profile) in children:
-                # Unlike the scalar walk, a pruned child does not prune
+                # Unlike the one-axis walk, a pruned child does not prune
                 # its later siblings: pruning needs domination on both
                 # axes and the children are ordered on time alone.
                 if self.max_cost is not None and c_lb > self.max_cost:

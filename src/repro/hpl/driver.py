@@ -23,7 +23,6 @@ from repro.errors import SimulationError
 from repro.hpl.schedule import (
     HPLParameters,
     ScheduleResult,
-    simulate_schedule,
     simulate_schedule_batch,
 )
 from repro.hpl.timing import PhaseTimes, ProcessTiming, aggregate_mean
@@ -150,20 +149,14 @@ def run_hpl(
         Together with the configuration and ``n`` these fully determine
         the noise draw, so campaigns are reproducible and independent
         per measurement.
+
+    This is :func:`run_hpl_batch` on one size; the per-step reference
+    walker :func:`~repro.hpl.schedule.simulate_schedule` it replaced
+    stays as the oracle the batched walker is tested against.
     """
-    compute_noise = comm_noise = None
-    if noise is not None and noise.enabled:
-        p = config.total_processes
-        rng = stream(seed, "hpl-run", config.key(), n, trial)
-        compute_noise = np.exp(rng.normal(0.0, noise.sigma_compute, size=p))
-        comm_noise = np.exp(rng.normal(0.0, noise.sigma_comm, size=p))
-        if noise.outlier_probability > 0 and rng.random() < noise.outlier_probability:
-            compute_noise = compute_noise * noise.outlier_factor
-            comm_noise = comm_noise * noise.outlier_factor
-    schedule = simulate_schedule(
-        spec, config, n, params=params, compute_noise=compute_noise, comm_noise=comm_noise
-    )
-    return HPLResult(spec_name=spec.name, config=config, n=n, schedule=schedule)
+    return run_hpl_batch(
+        spec, config, [n], params=params, noise=noise, seed=seed, trial=trial
+    )[0]
 
 
 def _noise_rows(
@@ -173,9 +166,9 @@ def _noise_rows(
     noise: Optional[NoiseSpec],
     seed: int,
 ):
-    """Per-run noise rows for a batch, drawn exactly as :func:`run_hpl`
-    draws them — one independent ``(seed, config, N, trial)`` stream per
-    row — so batched results stay bit-identical to per-run ones."""
+    """Per-run noise rows for a batch — one independent
+    ``(seed, config, N, trial)`` stream per row, so a run's noise does
+    not depend on which batch it was simulated in."""
     if noise is None or not noise.enabled:
         return None, None
     p = config.total_processes
@@ -208,9 +201,8 @@ def run_hpl_batch(
     ``ns`` may repeat sizes; ``trial`` is either one trial index shared by
     every entry or a per-entry sequence (a campaign batches a config's full
     ``sizes x trials`` grid in one call).  Each entry's noise comes from
-    the same ``(seed, config, N, trial)`` stream :func:`run_hpl` would use,
-    and the batched walker is bitwise-equal to the scalar one, so entry
-    ``i`` of the result is bit-identical to
+    its own ``(seed, config, N, trial)`` stream, so entry ``i`` of the
+    result is bit-identical to
     ``run_hpl(spec, config, ns[i], ..., trial=trial[i])``.
     """
     sizes = [int(n) for n in ns]

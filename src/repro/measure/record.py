@@ -9,11 +9,12 @@ analysis and reporting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, SimulationError
 from repro.hpl.driver import HPLResult
 from repro.hpl.timing import PhaseTimes
 
@@ -29,6 +30,15 @@ class KindMeasurement:
     #: The workload family's phase vector (:class:`PhaseTimes` for HPL;
     #: any :class:`repro.workloads.PhaseVector` subclass otherwise).
     phases: PhaseTimes
+
+    def __post_init__(self) -> None:
+        # Each phase is finite by construction; their sum can still
+        # overflow, and a non-finite total would poison every residual.
+        if not math.isfinite(self.phases.total):
+            raise MeasurementError(
+                f"kind {self.kind_name!r} has non-finite phase total "
+                f"{self.phases.total!r}"
+            )
 
     @property
     def ta(self) -> float:
@@ -56,11 +66,15 @@ class KindMeasurement:
         # (workload modules register their batch runners with it).
         from repro.workloads.phases import phases_from_dict
 
+        try:
+            phases = phases_from_dict(data["phases"])  # type: ignore[arg-type]
+        except SimulationError as exc:
+            raise MeasurementError(f"kind {data['kind']!r}: {exc}") from exc
         return cls(
             kind_name=str(data["kind"]),
             pe_count=int(data["pe_count"]),
             procs_per_pe=int(data["procs_per_pe"]),
-            phases=phases_from_dict(data["phases"]),  # type: ignore[arg-type]
+            phases=phases,
         )
 
 
@@ -85,7 +99,7 @@ class MeasurementRecord:
             )
         if self.n < 1:
             raise MeasurementError(f"invalid problem order {self.n}")
-        if self.wall_time_s <= 0:
+        if not math.isfinite(self.wall_time_s) or self.wall_time_s <= 0:
             raise MeasurementError(f"invalid wall time {self.wall_time_s}")
 
     # -- identity ---------------------------------------------------------------

@@ -81,7 +81,6 @@ class TestStageGraph:
             plan=None,
             perf=PerfReport(),
             memory_ratio_fn=lambda c, n, k: 0.0,
-            scalar_estimate=lambda c, n: 0.0,
             batch_estimate=lambda c, ns: np.zeros(len(ns)),
             candidates=list,
         )

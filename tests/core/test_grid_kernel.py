@@ -2,9 +2,11 @@
 
 The contract under test (DESIGN.md §15): ``estimate_grid`` cell
 ``[i, j]`` is **bitwise** ``estimate(configs[i], ns[j]).total``, and
-every backend run with a grid estimator produces the identical outcome
-— ranking, winner, stats, budget exhaustion point — as the same backend
-run scalar.  Equality below is ``==`` on floats, never ``approx``.
+every backend searching the kernel objective produces the identical
+outcome — ranking, winner, stats, budget exhaustion point — as the same
+backend searching the per-cell reference
+``grid_from_scalar(lambda c, n: pipeline.estimate(c, n).total)``.
+Equality below is ``==`` on floats, never ``approx``.
 """
 
 import dataclasses
@@ -17,9 +19,13 @@ from repro.core.binning import MemoryBin
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.core.search import (
     create_search,
+    grid_from_scalar,
     registered_search_backends,
+    synthetic_estimator,
+    synthetic_kind_params,
     synthetic_problem,
 )
+from repro.cost.presets import synthetic_rate_card
 from repro.errors import ConfigurationError, SearchError
 from repro.measure.grids import PAPER_KINDS
 from repro.perf.report import GridKernelStats
@@ -31,12 +37,12 @@ def cfg(p1, m1, p2, m2):
     return ClusterConfig.from_tuple(PAPER_KINDS, (p1, m1, p2, m2))
 
 
-def strip_grid(backend):
-    """The scalar reference: the same backend with its kernel unplugged."""
-    if hasattr(backend, "_grid"):
-        backend._grid = None
-    if hasattr(backend, "grid_estimator"):
-        backend.grid_estimator = None
+def strip_grid(backend, pipeline):
+    """The scalar reference: the same backend searching the pipeline's
+    scalar estimates, lifted cell by cell, instead of the kernel."""
+    backend.objective = grid_from_scalar(
+        lambda config, n: pipeline.estimate(config, n).total
+    )
     return backend
 
 
@@ -138,22 +144,26 @@ class TestBackendGoldenSweep:
     def test_paper_grid(self, ns_pipeline, tag):
         for n in SIZES:
             grid = ns_pipeline.optimizer(backend=tag).optimize(n)
-            scalar = strip_grid(ns_pipeline.optimizer(backend=tag)).optimize(n)
+            scalar = strip_grid(ns_pipeline.optimizer(backend=tag), ns_pipeline).optimize(n)
             assert outcome_sig(grid) == outcome_sig(scalar)
 
-    @pytest.mark.parametrize(
-        "tag", ["greedy", "hill-climb", "anneal", "beam", "branch-bound"]
-    )
+    @pytest.mark.parametrize("tag", registered_search_backends())
     def test_synthetic_4kind(self, tag):
         problem = synthetic_problem(n_kinds=4, pes_per_kind=4, max_procs=3)
-        scalar_problem = dataclasses.replace(problem, grid_estimator=None)
+        problem.cost = synthetic_rate_card(n_kinds=4)  # prices budget-frontier
+        scalar_problem = dataclasses.replace(
+            problem,
+            objective=grid_from_scalar(
+                synthetic_estimator(synthetic_kind_params(4))
+            ),
+        )
         grid = create_search(tag, problem).optimize(4000)
         scalar = create_search(tag, scalar_problem).optimize(4000)
         assert outcome_sig(grid) == outcome_sig(scalar)
 
     def test_optimize_many_bitwise(self, ns_pipeline):
         grid = ns_pipeline.optimizer().optimize_many(SIZES)
-        scalar = strip_grid(ns_pipeline.optimizer()).optimize_many(SIZES)
+        scalar = strip_grid(ns_pipeline.optimizer(), ns_pipeline).optimize_many(SIZES)
         for a, b in zip(grid, scalar):
             assert [(e.config.key(), e.estimate_s) for e in a.ranking] == [
                 (e.config.key(), e.estimate_s) for e in b.ranking
@@ -165,7 +175,8 @@ class TestBackendGoldenSweep:
                 backend="budget-frontier", budget=budget
             ).frontier(6400)
             scalar = strip_grid(
-                ns_pipeline.optimizer(backend="budget-frontier", budget=budget)
+                ns_pipeline.optimizer(backend="budget-frontier", budget=budget),
+                ns_pipeline,
             ).frontier(6400)
             assert [
                 (p.config.key(), p.time_s, p.dollars) for p in grid.points
@@ -174,7 +185,7 @@ class TestBackendGoldenSweep:
 
     def test_bad_grid_shape_rejected(self, ns_pipeline):
         backend = ns_pipeline.optimizer()
-        backend.grid_estimator = lambda configs, ns: np.ones(
+        backend.objective = lambda configs, ns: np.ones(
             (len(configs), len(ns) + 1)
         )
         with pytest.raises(SearchError, match="shape"):
@@ -190,7 +201,7 @@ class TestBudgetExhaustion:
     def test_mid_frontier_budget_matches_scalar(self, ns_pipeline, tag, budget):
         grid = ns_pipeline.optimizer(backend=tag, budget=budget).optimize(4800)
         scalar = strip_grid(
-            ns_pipeline.optimizer(backend=tag, budget=budget)
+            ns_pipeline.optimizer(backend=tag, budget=budget), ns_pipeline
         ).optimize(4800)
         assert outcome_sig(grid) == outcome_sig(scalar)
         # The budget caps evaluations actually performed, not prefetches.
@@ -201,7 +212,7 @@ class TestBudgetExhaustion:
     def test_leaf_block_budget_matches_scalar(self, ns_pipeline, tag, budget):
         grid = ns_pipeline.optimizer(backend=tag, budget=budget).optimize(4800)
         scalar = strip_grid(
-            ns_pipeline.optimizer(backend=tag, budget=budget)
+            ns_pipeline.optimizer(backend=tag, budget=budget), ns_pipeline
         ).optimize(4800)
         assert outcome_sig(grid) == outcome_sig(scalar)
         assert grid.stats.evaluations <= budget
@@ -214,7 +225,7 @@ class TestFrontierDedup:
     @pytest.mark.parametrize("tag", ["greedy", "hill-climb", "anneal", "beam"])
     def test_dedup_hits_counted_and_mode_independent(self, ns_pipeline, tag):
         grid = ns_pipeline.optimizer(backend=tag).optimize(6400)
-        scalar = strip_grid(ns_pipeline.optimizer(backend=tag)).optimize(6400)
+        scalar = strip_grid(ns_pipeline.optimizer(backend=tag), ns_pipeline).optimize(6400)
         assert grid.stats.dedup_hits == scalar.stats.dedup_hits
         # Revisited states exist in any real run of these searchers.
         assert grid.stats.dedup_hits > 0

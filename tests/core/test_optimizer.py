@@ -1,9 +1,10 @@
-"""Unit tests for the exhaustive optimizer."""
+"""Unit tests for the exhaustive optimizer and the grid-objective lift."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.config import ClusterConfig
-from repro.core.optimizer import ExhaustiveOptimizer, actual_best
+from repro.core.search import ExhaustiveOptimizer, actual_best, grid_from_scalar
 from repro.errors import SearchError
 
 KINDS = ("athlon", "pentium2")
@@ -17,10 +18,11 @@ CANDIDATES = [cfg(1, 1, 0, 0), cfg(1, 2, 0, 0), cfg(1, 1, 8, 1), cfg(0, 0, 8, 1)
 
 
 def table_estimator(table):
-    def estimator(config, n):
-        return table[(config.label(KINDS), n)]
+    return grid_from_scalar(lambda config, n: table[(config.label(KINDS), n)])
 
-    return estimator
+
+def constant(value):
+    return grid_from_scalar(lambda config, n: value)
 
 
 class TestOptimize:
@@ -68,11 +70,11 @@ class TestOptimize:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(SearchError):
-            ExhaustiveOptimizer(lambda c, n: 1.0, [])
+            ExhaustiveOptimizer(constant(1.0), [])
 
     def test_invalid_estimate_rejected(self):
         for bad in (float("nan"), -1.0):
-            optimizer = ExhaustiveOptimizer(lambda c, n: bad, CANDIDATES)
+            optimizer = ExhaustiveOptimizer(constant(bad), CANDIDATES)
             with pytest.raises(SearchError):
                 optimizer.optimize(1)
 
@@ -83,12 +85,14 @@ class TestOptimize:
         def estimator(config, n):
             return float("inf") if config.label(KINDS) == "1,1,0,0" else 5.0
 
-        outcome = ExhaustiveOptimizer(estimator, CANDIDATES).optimize(1)
+        outcome = ExhaustiveOptimizer(
+            grid_from_scalar(estimator), CANDIDATES
+        ).optimize(1)
         assert outcome.best.estimate_s == 5.0
         assert outcome.ranking[-1].config.label(KINDS) == "1,1,0,0"
 
     def test_all_unestimable_raises(self):
-        optimizer = ExhaustiveOptimizer(lambda c, n: float("inf"), CANDIDATES)
+        optimizer = ExhaustiveOptimizer(constant(float("inf")), CANDIDATES)
         with pytest.raises(SearchError, match="no candidate"):
             optimizer.optimize(1)
 
@@ -100,21 +104,17 @@ class TestOptimize:
             return float("inf") if config.label(KINDS) == "1,1,0,0" else 5.0
 
         optimizer = ExhaustiveOptimizer(
-            estimator, CANDIDATES, allow_unestimable=False
+            grid_from_scalar(estimator), CANDIDATES, allow_unestimable=False
         )
         with pytest.raises(SearchError, match="invalid time"):
             optimizer.optimize(1)
 
     def test_strict_mode_rejects_inf_in_batch_path(self):
-        def batch(config, ns):
-            value = float("inf") if config.label(KINDS) == "1,1,0,0" else 5.0
-            return [value] * len(ns)
+        def estimator(config, n):
+            return float("inf") if config.label(KINDS) == "1,1,0,0" else 5.0
 
         optimizer = ExhaustiveOptimizer(
-            lambda c, n: 5.0,
-            CANDIDATES,
-            batch_estimator=batch,
-            allow_unestimable=False,
+            grid_from_scalar(estimator), CANDIDATES, allow_unestimable=False
         )
         with pytest.raises(SearchError, match="invalid time"):
             optimizer.optimize_many([1, 2])
@@ -127,7 +127,7 @@ class TestOptimize:
         assert optimizer.optimize(1).best.estimate_s == 1.0
 
     def test_negative_inf_always_rejected(self):
-        optimizer = ExhaustiveOptimizer(lambda c, n: float("-inf"), CANDIDATES)
+        optimizer = ExhaustiveOptimizer(constant(float("-inf")), CANDIDATES)
         with pytest.raises(SearchError, match="invalid time"):
             optimizer.optimize(1)
 
@@ -141,3 +141,49 @@ class TestActualBest:
     def test_empty_rejected(self):
         with pytest.raises(SearchError):
             actual_best([])
+
+
+class TestGridFromScalar:
+    def test_cells_in_config_order(self):
+        calls = []
+
+        def fn(config, n):
+            calls.append((config.label(KINDS), n))
+            return float(len(calls))
+
+        grid = grid_from_scalar(fn)(CANDIDATES[:2], [100, 200])
+        assert calls == [
+            ("1,1,0,0", 100), ("1,1,0,0", 200),
+            ("1,2,0,0", 100), ("1,2,0,0", 200),
+        ]
+        assert grid.shape == (2, 2)
+        assert grid.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_raises_at_first_bad_cell(self):
+        calls = []
+
+        def fn(config, n):
+            calls.append(config.label(KINDS))
+            if config.total_processes > 2:
+                raise SearchError(f"cannot estimate {config.label(KINDS)}")
+            return 1.0
+
+        with pytest.raises(SearchError, match="1,1,8,1"):
+            grid_from_scalar(fn)(CANDIDATES, [100])
+        assert calls == ["1,1,0,0", "1,2,0,0", "1,1,8,1"]
+
+    def test_optimizer_names_first_invalid_candidate(self):
+        def fn(config, n):
+            return -1.0 if config.pe_count("pentium2") else 1.0
+
+        optimizer = ExhaustiveOptimizer(grid_from_scalar(fn), CANDIDATES)
+        with pytest.raises(SearchError, match="1,1,8,1"):
+            optimizer.optimize(1)
+
+    def test_values_are_bitwise_the_scalar_results(self):
+        fn = lambda config, n: 0.1 * n / config.total_processes
+        grid = grid_from_scalar(fn)(CANDIDATES, [3, 7])
+        for i, config in enumerate(CANDIDATES):
+            for j, n in enumerate([3, 7]):
+                assert grid[i, j] == fn(config, n)
+        assert grid.dtype == np.float64

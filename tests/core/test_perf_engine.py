@@ -1,13 +1,12 @@
 """Batched/cached estimation engine: ``optimize_many``, the estimate
 cache, the ``estimate_for`` index and the pipeline perf report."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.core.binning import MemoryBin
-from repro.core.optimizer import ExhaustiveOptimizer
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
+from repro.core.search import ExhaustiveOptimizer, grid_from_scalar
 from repro.errors import SearchError
 from repro.measure.grids import PAPER_KINDS
 
@@ -41,40 +40,22 @@ class TestOptimizeMany:
         assert batched.best.config.key() == scalar.best.config.key()
         assert batched.best.estimate_s == scalar.best.estimate_s
 
-    def test_without_batch_estimator_falls_back(self):
-        opt = ExhaustiveOptimizer(
-            lambda config, n: float(n) / config.total_processes,
-            [cfg(1, 1, 0, 0), cfg(1, 2, 0, 0)],
-        )
-        outcomes = opt.optimize_many([100, 200])
-        assert [o.n for o in outcomes] == [100, 200]
-        assert outcomes[0].best.config.key() == cfg(1, 2, 0, 0).key()
-
     def test_empty_sizes_rejected(self, ns_pipeline):
         with pytest.raises(SearchError):
             ns_pipeline.optimize_many([])
 
-    def test_bad_batch_shape_rejected(self):
-        opt = ExhaustiveOptimizer(
-            lambda config, n: 1.0,
-            [cfg(1, 1, 0, 0)],
-            batch_estimator=lambda config, ns: np.ones(len(ns) + 1),
-        )
-        with pytest.raises(SearchError, match="shape"):
-            opt.optimize_many([100, 200])
-
     def test_invalid_value_message_matches_scalar_path(self):
+        """optimize(n) and a sweep containing n fail identically, on the
+        first invalid candidate of the size that has one."""
         candidates = [cfg(1, 1, 0, 0), cfg(1, 2, 0, 0)]
-        scalar = ExhaustiveOptimizer(lambda config, n: -1.0, candidates)
-        batched = ExhaustiveOptimizer(
-            lambda config, n: -1.0,
+        optimizer = ExhaustiveOptimizer(
+            grid_from_scalar(lambda config, n: -1.0 if n == 400 else 1.0),
             candidates,
-            batch_estimator=lambda config, ns: np.full(len(ns), -1.0),
         )
         with pytest.raises(SearchError) as scalar_err:
-            scalar.optimize(400)
+            optimizer.optimize(400)
         with pytest.raises(SearchError) as batched_err:
-            batched.optimize_many([400])
+            optimizer.optimize_many([200, 400])
         assert str(scalar_err.value) == str(batched_err.value)
 
 
@@ -119,11 +100,13 @@ class TestEstimateCache:
             ]
 
     def test_cached_scalar_estimator_matches_uncached(self, ns_pipeline):
-        plain = ns_pipeline.estimator()
-        cached = ns_pipeline.estimator(cached=True)
+        """A single cell through the cached grid objective — how search
+        backends evaluate one unprefetched state — equals the uncached
+        estimate, cold and warm."""
         config = cfg(1, 2, 8, 1)
-        assert cached(config, 4800) == plain(config, 4800)
-        assert cached(config, 4800) == plain(config, 4800)  # warm hit
+        plain = ns_pipeline.estimate(config, 4800).total
+        for _ in range(2):  # cold fill, then warm hit
+            assert ns_pipeline.estimate_grid([config], [4800])[0, 0] == plain
 
     def test_fingerprint_tracks_models(self, spec):
         same_a = EstimationPipeline(spec, PipelineConfig(protocol="ns", seed=11))

@@ -15,6 +15,7 @@ from repro.core.search import (
     SearchSpace,
     SearchStats,
     create_search,
+    grid_from_scalar,
     register_search,
     registered_search_backends,
     search_backend_class,
@@ -138,7 +139,7 @@ class TestBranchBound:
 
     def test_requires_bounds(self, small_problem):
         stripped = SearchProblem(
-            estimator=small_problem.estimator,
+            objective=small_problem.objective,
             space=small_problem.space,
             kinds=small_problem.kinds,
             allow_unestimable=False,
@@ -236,14 +237,9 @@ class TestRankingSemantics:
     def test_strict_mode_on_batched_many_with_partial_inf(self):
         """allow_unestimable=False must also catch +inf on the batched
         optimize_many path when only some sizes are unestimable."""
-
-        def batch(config, ns):
-            return [math.inf if n > 1 else 5.0 for n in ns]
-
         optimizer = ExhaustiveOptimizer(
-            lambda c, n: 5.0 if n <= 1 else math.inf,
+            grid_from_scalar(lambda c, n: 5.0 if n <= 1 else math.inf),
             [cfg(1, 1, 0, 0), cfg(1, 2, 0, 0)],
-            batch_estimator=batch,
             allow_unestimable=False,
         )
         assert optimizer.optimize_many([1])[0].best.estimate_s == 5.0
@@ -338,7 +334,7 @@ class TestSynthetic:
         a = synthetic_problem(n_kinds=3, pes_per_kind=3, max_procs=2)
         b = synthetic_problem(n_kinds=3, pes_per_kind=3, max_procs=2)
         sample = next(a.space.configs())
-        assert a.estimator(sample, 2000) == b.estimator(sample, 2000)
+        assert a.objective([sample], [2000]) == b.objective([sample], [2000])
         assert a.space.kinds == b.space.kinds
 
     def test_datacenter_scale_space_is_huge(self):

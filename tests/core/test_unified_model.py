@@ -113,10 +113,11 @@ class TestEstimatorOnCampaign:
         """The unified model should make decisions in the same regret band
         as the two-stage N-T/P-T stack on the Basic data."""
         estimator = UnifiedEstimator.fit_dataset(basic_campaign.dataset)
-        from repro.core.optimizer import ExhaustiveOptimizer
+        from repro.core.search import ExhaustiveOptimizer, grid_from_scalar
 
         optimizer = ExhaustiveOptimizer(
-            estimator.estimator(), list(basic_pipeline.plan.evaluation_configs)
+            grid_from_scalar(estimator.estimator()),
+            list(basic_pipeline.plan.evaluation_configs),
         )
         for n in (4800, 6400, 8000):
             best = optimizer.optimize(n).best

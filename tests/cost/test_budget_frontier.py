@@ -7,8 +7,6 @@ with the exhaustive optimizer's winner.  Pruning only changes how much
 work that answer costs.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.core.search import (
@@ -33,7 +31,7 @@ def problem():
 @pytest.fixture(scope="module")
 def reference(problem):
     return enumerate_frontier(
-        problem.estimator, problem.resolved_candidates(), N, problem.cost
+        problem.objective, problem.resolved_candidates(), N, problem.cost
     )
 
 
@@ -101,7 +99,7 @@ class TestConstraints:
     ):
         cap = reference.min_cost.dollars * 1.01
         capped = enumerate_frontier(
-            problem.estimator, problem.resolved_candidates(), N, problem.cost,
+            problem.objective, problem.resolved_candidates(), N, problem.cost,
             max_cost=cap,
         )
         outcome = create_search(

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.cluster.config import ClusterConfig
+from repro.core.search import grid_from_scalar
 from repro.cost.model import CostModel
 from repro.cost.pareto import (
     FrontierPoint,
@@ -92,10 +93,11 @@ class TestBuildPoint:
 
 
 class TestEnumerateFrontier:
-    def _estimator(self, config, n):
-        # Sublinear speedup: more processes are faster but cost more
-        # dollars overall, so the two objectives genuinely conflict.
-        return 100.0 / config.total_processes**0.5
+    # Sublinear speedup: more processes are faster but cost more dollars
+    # overall, so the two objectives genuinely conflict.
+    _objective = staticmethod(
+        grid_from_scalar(lambda config, n: 100.0 / config.total_processes**0.5)
+    )
 
     def test_frontier_points_are_mutually_non_dominated(self):
         model = CostModel.of(athlon=(1.0, 0.0), pentium2=(0.25, 0.0))
@@ -103,7 +105,7 @@ class TestEnumerateFrontier:
             _config(1, 1, 0, 0), _config(2, 1, 0, 0),
             _config(0, 0, 2, 1), _config(2, 1, 2, 1),
         ]
-        outcome = enumerate_frontier(self._estimator, candidates, 1000, model)
+        outcome = enumerate_frontier(self._objective, candidates, 1000, model)
         assert outcome.complete
         assert outcome.stats.evaluations == len(candidates)
         for p in outcome.points:
@@ -114,7 +116,7 @@ class TestEnumerateFrontier:
         model = CostModel.of(athlon=(1.0, 0.0))
         candidates = [_config(1, 1, 0, 0), _config(2, 1, 0, 0)]
         outcome = enumerate_frontier(
-            self._estimator, candidates, 1000, model,
+            self._objective, candidates, 1000, model,
             max_cost=model.dollars_per_pe_second("athlon") * 100.0 * 1.01,
         )
         assert [p.config.key() for p in outcome.points] == [
@@ -126,7 +128,7 @@ class TestEnumerateFrontier:
         model = CostModel.of(athlon=(1.0, 0.0))
         with pytest.raises(SearchError, match="max_cost"):
             enumerate_frontier(
-                self._estimator, [_config(1, 1, 0, 0)], 1000, model,
+                self._objective, [_config(1, 1, 0, 0)], 1000, model,
                 max_cost=0.0,
             )
 

@@ -3,19 +3,22 @@
 import pytest
 
 from repro.cluster.presets import kishimoto_cluster, synthetic_cluster
-from repro.core.optimizer import ExhaustiveOptimizer
-from repro.errors import SearchError
-from repro.exts.heuristics import (
+from repro.core.search import (
+    ExhaustiveOptimizer,
     GreedyGrowth,
     HillClimber,
+    SearchSpace,
     SimulatedAnnealing,
     full_candidate_space,
+    grid_from_scalar,
 )
+from repro.errors import SearchError
 
 
 def model_estimator(spec, n_ref=8000.0):
     """A cheap analytic objective with the real problem's structure:
-    per-kind time = max over kinds of (work share / kind rate + comm)."""
+    per-kind time = max over kinds of (work share / kind rate + comm),
+    lifted into the grid objective every search backend takes."""
 
     rates = {kind.name: kind.peak_gflops * 1e9 for kind in spec.kinds}
 
@@ -33,7 +36,11 @@ def model_estimator(spec, n_ref=8000.0):
         comm = 2e-7 * float(n) ** 2 * (1 + 0.1 * p)
         return max(per_kind) + comm
 
-    return estimator
+    return grid_from_scalar(estimator)
+
+
+def space(spec, max_procs=6):
+    return SearchSpace.from_spec(spec, max_procs)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +63,7 @@ class TestCandidateSpace:
 class TestGreedy:
     def test_finds_exhaustive_optimum_on_smooth_objective(self, paper_spec):
         estimator = model_estimator(paper_spec)
-        greedy = GreedyGrowth(paper_spec, estimator)
+        greedy = GreedyGrowth(space(paper_spec), estimator)
         stats = greedy.search(8000)
         exhaustive = ExhaustiveOptimizer(
             estimator, full_candidate_space(paper_spec)
@@ -67,22 +74,22 @@ class TestGreedy:
 
     def test_uses_fewer_evaluations_than_exhaustive(self, paper_spec):
         estimator = model_estimator(paper_spec)
-        stats = GreedyGrowth(paper_spec, estimator).search(8000)
+        stats = GreedyGrowth(space(paper_spec), estimator).search(8000)
         assert stats.evaluations < 342 / 2
 
     def test_trace_is_monotone(self, paper_spec):
-        stats = GreedyGrowth(paper_spec, model_estimator(paper_spec)).search(4800)
+        stats = GreedyGrowth(space(paper_spec), model_estimator(paper_spec)).search(4800)
         assert all(b <= a for a, b in zip(stats.trace, stats.trace[1:]))
 
     def test_invalid_max_procs(self, paper_spec):
         with pytest.raises(SearchError):
-            GreedyGrowth(paper_spec, lambda c, n: 1.0, max_procs=0)
+            space(paper_spec, max_procs=0)
 
 
 class TestHillClimberAndAnnealing:
     def test_hill_climber_reaches_good_solution(self, paper_spec):
         estimator = model_estimator(paper_spec)
-        stats = HillClimber(paper_spec, estimator).search(8000, restarts=3, seed=1)
+        stats = HillClimber(space(paper_spec), estimator).search(8000, restarts=3, seed=1)
         exhaustive = ExhaustiveOptimizer(
             estimator, full_candidate_space(paper_spec)
         ).optimize(8000)
@@ -90,7 +97,7 @@ class TestHillClimberAndAnnealing:
 
     def test_annealing_matches_exhaustive(self, paper_spec):
         estimator = model_estimator(paper_spec)
-        stats = SimulatedAnnealing(paper_spec, estimator).search(8000, steps=300, seed=2)
+        stats = SimulatedAnnealing(space(paper_spec), estimator).search(8000, steps=300, seed=2)
         exhaustive = ExhaustiveOptimizer(
             estimator, full_candidate_space(paper_spec)
         ).optimize(8000)
@@ -98,13 +105,15 @@ class TestHillClimberAndAnnealing:
 
     def test_annealing_reproducible(self, paper_spec):
         estimator = model_estimator(paper_spec)
-        a = SimulatedAnnealing(paper_spec, estimator).search(4800, steps=100, seed=7)
-        b = SimulatedAnnealing(paper_spec, estimator).search(4800, steps=100, seed=7)
+        a = SimulatedAnnealing(space(paper_spec), estimator).search(4800, steps=100, seed=7)
+        b = SimulatedAnnealing(space(paper_spec), estimator).search(4800, steps=100, seed=7)
         assert a.best_estimate == b.best_estimate
         assert a.evaluations == b.evaluations
 
     def test_annealing_parameter_validation(self, paper_spec):
-        sa = SimulatedAnnealing(paper_spec, lambda c, n: 1.0)
+        sa = SimulatedAnnealing(
+            space(paper_spec), grid_from_scalar(lambda c, n: 1.0)
+        )
         with pytest.raises(SearchError):
             sa.search(100, steps=0)
         with pytest.raises(SearchError):
@@ -115,8 +124,8 @@ class TestLargeCluster:
     def test_heuristics_scale_to_many_kinds(self):
         spec = synthetic_cluster([0.2, 0.4, 0.8, 1.6, 3.2], nodes_per_kind=2)
         estimator = model_estimator(spec)
-        greedy = GreedyGrowth(spec, estimator, max_procs=4).search(12000)
-        annealing = SimulatedAnnealing(spec, estimator, max_procs=4).search(
+        greedy = GreedyGrowth(space(spec, 4), estimator).search(12000)
+        annealing = SimulatedAnnealing(space(spec, 4), estimator).search(
             12000, steps=500, seed=3
         )
         # sanity: both find something and agree within 15%

@@ -5,7 +5,12 @@ import math
 import pytest
 
 from repro.cluster.presets import kishimoto_cluster
-from repro.exts.heuristics import GreedyGrowth, SearchStats
+from repro.core.search import (
+    GreedyGrowth,
+    SearchSpace,
+    SearchStats,
+    grid_from_scalar,
+)
 
 
 class TestSearchStats:
@@ -28,7 +33,10 @@ class TestSearchStats:
 class TestGreedyInternals:
     @pytest.fixture(scope="class")
     def searcher(self):
-        return GreedyGrowth(kishimoto_cluster(), lambda c, n: 1.0)
+        return GreedyGrowth(
+            SearchSpace.from_spec(kishimoto_cluster()),
+            grid_from_scalar(lambda c, n: 1.0),
+        )
 
     def test_state_config_roundtrip(self, searcher):
         state = (("athlon", 1, 2), ("pentium2", 4, 1))
@@ -37,11 +45,12 @@ class TestGreedyInternals:
 
     def test_neighbors_respect_bounds(self, searcher):
         state = (("athlon", 1, 6), ("pentium2", 8, 1))
+        spec = kishimoto_cluster()
         for neighbor in searcher._neighbors(state):
             for kind, pe, procs in neighbor:
-                available = searcher.spec.pe_count(kind)
+                available = spec.pe_count(kind)
                 assert 0 <= pe <= available
-                assert procs <= searcher.max_procs
+                assert procs <= searcher.space.max_procs_per_pe
                 if pe == 0:
                     assert procs == 0
 

@@ -338,6 +338,41 @@ class TestCalibrationOps:
             assert reply["error"]["type"] == "BadRequest"
         assert len(calibrator.log) == 0  # nothing malformed was logged
 
+    def test_non_finite_observe_is_rejected_and_server_keeps_serving(self):
+        """A NaN wall time on the wire gets an error reply; nothing is
+        logged, and the same server then ingests a good record."""
+        registry, calibrator = self._serving()
+        record = self._observed_record(
+            registry.get("golden").pipeline, [1, 3, 8, 1], 3200
+        )
+        poisoned = record.to_dict()
+        poisoned["wall_s"] = float("nan")  # json.dumps writes a bare NaN
+
+        async def scenario(server, host, port):
+            bad = await roundtrip(
+                host, port,
+                {"id": 1, "op": "observe", "pipeline": "golden",
+                 "record": poisoned},
+            )
+            ping = await roundtrip(host, port, {"id": 2, "op": "ping"})
+            good = await roundtrip(
+                host, port,
+                {"id": 3, "op": "observe", "pipeline": "golden",
+                 "record": record.to_dict()},
+            )
+            return bad, ping, good
+
+        bad, ping, good = serve(
+            scenario, registry=registry, calibrators={"golden": calibrator}
+        )
+        assert bad["ok"] is False
+        assert bad["error"]["type"] == "BadRequest"
+        assert "wall time" in bad["error"]["message"]
+        assert ping["ok"] and ping["result"]["pong"]
+        assert good["ok"], good
+        assert good["result"]["seq"] == 0
+        assert len(calibrator.log) == 1
+
     def test_observe_without_calibrator_is_bad_request(self):
         async def scenario(server, host, port):
             no_loop = await roundtrip(

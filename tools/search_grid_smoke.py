@@ -4,9 +4,11 @@
 CI guard for the candidate-axis vectorized estimation kernel
 (:mod:`repro.core.grid_kernel`).  It fits the paper's NS pipeline, then
 runs **every** registered search backend twice over the 62-candidate
-evaluation grid at every evaluation size — once with the grid estimator
-wired (the default) and once with it stripped (the scalar reference) —
-and asserts the outcomes are **bitwise identical**: same ranking keys,
+evaluation grid at every evaluation size — once on the kernel objective
+(the default) and once on the scalar reference, the pipeline's
+``estimate(config, n).total`` lifted cell by cell with
+``grid_from_scalar`` — and asserts the outcomes are **bitwise
+identical**: same ranking keys,
 same float estimates (``==``, no tolerances), same evaluation counts,
 same dedup hits, same budget-exhaustion flags.  A budgeted pass repeats
 the comparison where the budget runs out mid-frontier.  Finally
@@ -23,7 +25,7 @@ from __future__ import annotations
 import sys
 
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
-from repro.core.search import registered_search_backends
+from repro.core.search import grid_from_scalar, registered_search_backends
 
 SEED = 7
 SMOKE_BUDGETS = (3, 17)
@@ -34,12 +36,12 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def strip_grid(backend):
-    """The scalar reference: the same backend with its kernel unplugged."""
-    if hasattr(backend, "_grid"):
-        backend._grid = None
-    if hasattr(backend, "grid_estimator"):
-        backend.grid_estimator = None
+def strip_grid(backend, pipeline):
+    """The scalar reference: the same backend searching the pipeline's
+    scalar estimates, lifted cell by cell, instead of the kernel."""
+    backend.objective = grid_from_scalar(
+        lambda config, n: pipeline.estimate(config, n).total
+    )
     return backend
 
 
@@ -65,7 +67,7 @@ def check_backend(pipeline, tag: str, sizes, budget=None) -> int:
                 # scalar behavior too, nothing to compare.
                 try:
                     strip_grid(
-                        pipeline.optimizer(backend=tag, budget=budget)
+                        pipeline.optimizer(backend=tag, budget=budget), pipeline
                     ).optimize(n)
                 except Exception as scalar_error:
                     if str(error) == str(scalar_error):
@@ -73,7 +75,7 @@ def check_backend(pipeline, tag: str, sizes, budget=None) -> int:
                 fail(f"{tag} budget={budget}: grid raised {error!r}")
             raise
         scalar = strip_grid(
-            pipeline.optimizer(backend=tag, budget=budget)
+            pipeline.optimizer(backend=tag, budget=budget), pipeline
         ).optimize(n)
         if outcome_sig(grid) != outcome_sig(scalar):
             fail(
