@@ -81,8 +81,12 @@ class ObservationLog:
     With a ``path`` the log is persistent JSONL — one observation per
     line, flushed on every append so a crashed service loses at most the
     line being written; re-opening the same path replays the file and
-    continues the sequence.  Without a path the log is in-memory (tests,
-    short-lived replay sessions).
+    continues the sequence.  A final line without its newline is what a
+    crash mid-append leaves: if it does not parse it is dropped and the
+    file is cut back to the last complete line, so the next append starts
+    a fresh line.  A malformed *complete* line is corruption and raises.
+    Without a path the log is in-memory (tests, short-lived replay
+    sessions).
     """
 
     def __init__(self, path: Optional[Path | str] = None):
@@ -97,26 +101,42 @@ class ObservationLog:
 
     def _replay_file(self) -> None:
         assert self.path is not None
-        for lineno, line in enumerate(
-            self.path.read_text(encoding="utf-8").splitlines(), 1
-        ):
-            text = line.strip()
-            if not text:
+        data = self.path.read_bytes()
+        complete, newline, tail = data.rpartition(b"\n")
+        lines = complete.split(b"\n") if newline else []
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip():
                 continue
             try:
-                payload = json.loads(text)
-            except json.JSONDecodeError as exc:
+                payload = json.loads(line)
+            except ValueError as exc:
                 raise CalibrationError(
                     f"corrupt observation log {self.path}:{lineno} ({exc})"
                 ) from exc
-            observation = Observation.from_dict(payload)
-            if observation.seq != len(self._observations):
-                raise CalibrationError(
-                    f"observation log {self.path}:{lineno} is out of sequence "
-                    f"(expected seq {len(self._observations)}, "
-                    f"got {observation.seq})"
-                )
-            self._observations.append(observation)
+            self._replay(payload, lineno)
+        if not tail.strip():
+            return
+        try:
+            payload = json.loads(tail)
+        except ValueError:
+            # Torn by a crash mid-append: drop it.
+            with self.path.open("r+b") as handle:
+                handle.truncate(len(data) - len(tail))
+            return
+        self._replay(payload, len(lines) + 1)
+        # Whole but unterminated: finish the line before appending more.
+        with self.path.open("ab") as handle:
+            handle.write(b"\n")
+
+    def _replay(self, payload: Dict[str, object], lineno: int) -> None:
+        observation = Observation.from_dict(payload)
+        if observation.seq != len(self._observations):
+            raise CalibrationError(
+                f"observation log {self.path}:{lineno} is out of sequence "
+                f"(expected seq {len(self._observations)}, "
+                f"got {observation.seq})"
+            )
+        self._observations.append(observation)
 
     # -- mutation -----------------------------------------------------------
 

@@ -14,7 +14,7 @@ Two bin dimensions appear in the paper:
 
 The actual machinery lives in :mod:`repro.core.estimator`: the Figure-5
 routing is :class:`~repro.core.estimator.BinnedBackend`, and the
-estimation semantics (memory bins, clamping, validity, batching) are the
+estimation semantics (memory bins, clamping, validity) are the
 :class:`~repro.core.estimator.Estimator` facade.  :class:`ModelSelector`
 remains as the store-plus-bins constructor for that facade.
 """
@@ -39,8 +39,8 @@ class ModelSelector(Estimator):
     :class:`ModelStore`, with optional memory-pressure bins.
 
     A thin constructor over :class:`~repro.core.estimator.Estimator`;
-    every query method (``select``, ``estimate_kind``,
-    ``estimate_kind_batch``, ...) is the facade's.
+    every query method (``select``, ``estimate_kind``, ``bin_scales``,
+    ...) is the facade's.
     """
 
     def __init__(

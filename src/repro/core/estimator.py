@@ -7,7 +7,7 @@ layers — :class:`~repro.core.model_store.ModelStore` (the container),
 facade collapses them: a **backend** knows how to route a
 ``(kind, P, Mi)`` query to a :class:`~repro.core.model_api.TimeModel`,
 and the facade owns everything above routing (memory-pressure bins,
-clamping/validity semantics, vectorized batches, per-configuration
+clamping/validity semantics, per-configuration
 bottleneck composition, fingerprinting).  The optimizer, the estimate
 cache, the pipeline and the analysis code all call models only through
 this class.
@@ -267,46 +267,37 @@ class Estimator:
             valid=(ta + tc) > 0.0,
         )
 
-    def estimate_kind_batch(
-        self,
-        kind: str,
-        ns: Sequence[float],
-        p: int,
-        mi: int,
-        memory_ratios: Optional[Sequence[float]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`estimate_kind` over an array of problem orders.
-
-        Returns ``(ta, tc, valid)`` arrays aligned with ``ns``.  Model
-        routing happens once (``P``/``Mi`` are fixed across the batch);
-        the polynomial evaluation, memory-bin scaling, clamping and
-        validity logic are element-for-element identical to the scalar
-        path, so the batch values are bitwise those of ``estimate_kind``
-        called per size.
-        """
-        _, model = self.select(kind, p, mi)
-        n_arr = np.asarray(ns, dtype=float)
-        ta = np.asarray(model.predict_ta(n_arr, p), dtype=float)
-        tc = np.asarray(model.predict_tc(n_arr, p), dtype=float)
-
-        if self.memory_bins and memory_ratios is not None:
-            bins = [self._bin_for(float(r)) for r in memory_ratios]
-            ta = ta * np.array([b.ta_scale for b in bins])
-            tc = tc * np.array([b.tc_scale for b in bins])
-
-        valid = (ta + tc) > 0.0
-        return np.maximum(ta, 0.0), np.maximum(tc, 0.0), valid
-
     def _bin_for(self, ratio: float) -> MemoryBin:
         for bin_ in self.memory_bins:
             if ratio <= bin_.max_ratio:
                 return bin_
         return self.memory_bins[-1]
 
+    @property
+    def applies_memory_bins(self) -> bool:
+        """Whether configuration estimates pass through memory bins: bins
+        are configured and ``memory_ratio_fn`` places queries in them."""
+        return bool(self.memory_bins) and self.memory_ratio_fn is not None
+
     def _ratio_for(self, config, n: int, kind: str) -> Optional[float]:
-        if not self.memory_bins or self.memory_ratio_fn is None:
+        if not self.applies_memory_bins:
             return None
         return self.memory_ratio_fn(config, n, kind)
+
+    def bin_scales(
+        self, config, kind: str, ns: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-size ``(ta_scale, tc_scale)`` of the memory bin each
+        ``(config, n, kind)`` query falls in — the factors
+        :meth:`estimate_kinds` applies, for the grid kernel's rows.
+        Only meaningful when :attr:`applies_memory_bins`."""
+        chosen = [
+            self._bin_for(self.memory_ratio_fn(config, int(n), kind)) for n in ns
+        ]
+        return (
+            np.array([b.ta_scale for b in chosen], dtype=float),
+            np.array([b.tc_scale for b in chosen], dtype=float),
+        )
 
     # -- per-configuration estimation ---------------------------------------
 
@@ -324,38 +315,6 @@ class Estimator:
             )
             for alloc in config.active
         )
-
-    def estimate_kinds_batch(
-        self, config, ns: Sequence[float]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized bottleneck composition over problem orders.
-
-        Returns ``(total, valid)`` arrays: the per-size maximum of the
-        per-kind totals (the slowest kind bounds the run — every process
-        holds an equal share of rows) and whether every kind's model was
-        inside its trustworthy domain.
-        """
-        n_arr = np.asarray([float(n) for n in ns], dtype=float)
-        p = config.total_processes
-        total: Optional[np.ndarray] = None
-        valid: Optional[np.ndarray] = None
-        for alloc in config.active:
-            ratios = (
-                [
-                    self.memory_ratio_fn(config, int(n), alloc.kind_name)
-                    for n in n_arr
-                ]
-                if self.memory_bins and self.memory_ratio_fn is not None
-                else None
-            )
-            ta, tc, kind_valid = self.estimate_kind_batch(
-                alloc.kind_name, n_arr, p, alloc.procs_per_pe, memory_ratios=ratios
-            )
-            kind_total = ta + tc
-            total = kind_total if total is None else np.maximum(total, kind_total)
-            valid = kind_valid if valid is None else (valid & kind_valid)
-        assert total is not None and valid is not None
-        return total, valid
 
     def estimate_total(self, config, n: int) -> float:
         """Estimated execution time of a configuration (bottleneck kind),

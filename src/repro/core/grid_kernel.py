@@ -5,23 +5,27 @@ candidate configuration; only the size axis was vectorized.  This module
 vectorizes the *candidate* axis too: :class:`GridKernel` packs the
 coefficients of every routed N-T / P-T model into tensors (grown lazily
 as new ``(kind, P, Mi)`` queries appear, re-packed only when a new model
-is routed) and evaluates the polynomial fits, the max-over-kinds
-composition and the linear adjustment for a whole ``(C, S)`` block of
-candidates x sizes in a handful of NumPy passes.
+is routed) and evaluates the polynomial fits, the memory bins, the
+max-over-kinds composition and the linear adjustment for a whole
+``(C, S)`` block of candidates x sizes in a handful of NumPy passes.  It
+is the only vectorized estimator: ``estimate_grid`` and
+``estimate_totals`` both evaluate through it.
 
 **Bitwise-equivalence contract.**  Cell ``[i, j]`` of
-:meth:`GridKernel.evaluate` is bitwise the value of
-``EstimationPipeline.estimate_totals(configs[i], ns)[j]`` (itself
-documented element-identical to ``estimate(config, n).total``):
+:meth:`GridKernel.evaluate` is bitwise
+``EstimationPipeline.estimate(configs[i], ns[j]).total``:
 
 * polynomial rows use the same Horner recurrence as
   :func:`repro.core.lsq.polyval` (``np.polyval``), evaluated per packed
   row — elementwise float64 ops, identical bits;
 * the P-T formulas replicate :meth:`repro.core.pt_model.PTModel.predict_ta`
   / ``predict_tc`` operation-for-operation, association order included;
-* per-kind validity is checked on the *pre-clamp* sum ``(Ta + Tc) > 0``
-  and the phases are clamped with ``np.maximum(x, 0.0)``, exactly as
-  :meth:`repro.core.estimator.Estimator.estimate_kind_batch`;
+* with memory bins on, each ``(candidate, kind)`` row is multiplied by
+  the per-size ``ta_scale`` / ``tc_scale`` of its bin
+  (:meth:`~repro.core.estimator.Estimator.bin_scales`); then per-kind
+  validity is checked on the *pre-clamp* sum ``(Ta + Tc) > 0`` and the
+  phases are clamped with ``np.maximum(x, 0.0)`` — the operation order of
+  :meth:`repro.core.estimator.Estimator.estimate_kind`;
 * composition scatters with ``np.maximum.at`` / ``np.logical_and.at``
   from identities (``-inf`` / ``True``) — max over non-negative
   (or NaN/inf) values is order-independent bitwise, so the scatter
@@ -31,11 +35,9 @@ documented element-identical to ``estimate(config, n).total``):
   invalid cells become ``+inf``, the same ``np.where`` the scalar path
   applies.
 
-Configurations the kernel cannot vectorize — a non-binned backend
-(:class:`~repro.core.estimator.UnifiedBackend`) or active memory bins —
-take the per-candidate ``batch_fallback`` instead, preserving the
-contract at reduced speed; :class:`~repro.perf.report.GridKernelStats`
-makes the split observable (``--profile`` renders it).
+The kernel evaluates the paper's binned (N-T / P-T) backend; the
+unified-model backend is scalar-only
+(:class:`~repro.core.unified_model.UnifiedEstimator`).
 
 Errors surface exactly as the scalar loop would: candidates are
 validated and routed in block order, so the first failing candidate
@@ -70,9 +72,9 @@ class GridKernel:
     Parameters
     ----------
     facade:
-        The :class:`~repro.core.estimator.Estimator` whose models answer
-        the queries; only a :class:`BinnedBackend` without memory bins
-        takes the vectorized path (anything else rides ``batch_fallback``).
+        The :class:`~repro.core.estimator.Estimator` whose models (and
+        memory bins) answer the queries; its backend must be a
+        :class:`BinnedBackend`.
     adjustment:
         The pipeline's :class:`~repro.core.adjustment.LinearAdjustment`.
     validate:
@@ -81,11 +83,6 @@ class GridKernel:
         validation errors match the scalar path's.
     stats:
         Optional :class:`~repro.perf.report.GridKernelStats` sink.
-    batch_fallback:
-        Per-candidate vectorized objective ``(config, ns) -> (S,)`` used
-        when the kernel cannot vectorize the candidate axis (the
-        pipeline's ``estimate_totals``).  Required for non-binned or
-        memory-binned facades.
     """
 
     def __init__(
@@ -94,17 +91,16 @@ class GridKernel:
         adjustment,
         validate: Optional[Callable[[object], None]] = None,
         stats=None,
-        batch_fallback: Optional[Callable[[object, Sequence[int]], np.ndarray]] = None,
     ):
+        if not isinstance(facade.backend, BinnedBackend):
+            raise ModelError(
+                "the grid kernel evaluates the binned backend only, "
+                f"not {facade.backend.name!r}"
+            )
         self.facade = facade
         self.adjustment = adjustment
         self.validate = validate
         self.stats = stats
-        self.batch_fallback = batch_fallback
-        #: Whether the candidate axis is vectorizable at all.
-        self.vectorized = isinstance(facade.backend, BinnedBackend) and not (
-            facade.memory_bins
-        )
         # Routing memo: (kind, P, Mi) -> ("nt" | "pt", packed row index).
         # Routing goes through facade.select once per distinct query, so a
         # routing failure raises the authentic ModelError in block order.
@@ -129,7 +125,7 @@ class GridKernel:
             row = len(self._nt_models)
             self._nt_models.append(model)
             self._nt_pack = None
-        elif label == "pt":
+        else:
             # One P-T model serves every P > Mi of a (kind, Mi) pair —
             # share its packed row across those routes.
             pt_key = (kind, mi)
@@ -139,10 +135,6 @@ class GridKernel:
                 self._pt_models.append(model)
                 self._pt_keys[pt_key] = row
                 self._pt_pack = None
-        else:  # pragma: no cover - BinnedBackend only emits nt/pt
-            raise ModelError(
-                f"grid kernel cannot vectorize model label {label!r}"
-            )
         self._routes[key] = (label, row)
         return label, row
 
@@ -190,14 +182,15 @@ class GridKernel:
         """Adjusted estimates of every ``(config, n)`` cell, ``(C, S)``."""
         sizes = np.asarray([float(n) for n in ns], dtype=float)
         count, width = len(configs), sizes.size
-        if not self.vectorized:
-            return self._fallback(configs, ns, count, width)
+        use_bins = self.facade.applies_memory_bins
 
         nt_cand: List[int] = []
         nt_row: List[int] = []
+        nt_bins: List[Tuple[np.ndarray, np.ndarray]] = []
         pt_cand: List[int] = []
         pt_row: List[int] = []
         pt_p: List[int] = []
+        pt_bins: List[Tuple[np.ndarray, np.ndarray]] = []
         scale = np.empty(count, dtype=float)
         for i, config in enumerate(configs):
             if self.validate is not None:
@@ -209,15 +202,19 @@ class GridKernel:
                 if label == "nt":
                     nt_cand.append(i)
                     nt_row.append(row)
+                    bins = nt_bins
                 else:
                     pt_cand.append(i)
                     pt_row.append(row)
                     pt_p.append(p)
+                    bins = pt_bins
+                if use_bins:
+                    bins.append(self.facade.bin_scales(config, alloc.kind_name, ns))
                 if alloc.procs_per_pe > max_mi:
                     max_mi = alloc.procs_per_pe
             if not config.active:
-                # Match the scalar path: estimate_kinds_batch asserts on a
-                # configuration with no active allocations.
+                # The scalar path cannot compose a configuration with no
+                # active allocations either.
                 raise AssertionError(
                     f"configuration {config.label()} has no active kinds"
                 )
@@ -230,15 +227,10 @@ class GridKernel:
 
         if nt_cand:
             ka, kc = self._nt_tensors()
-            rows = np.asarray(nt_row)
-            uniq, inverse = np.unique(rows, return_inverse=True)
-            ta = polyval_rows(ka[uniq], sizes)
-            tc = polyval_rows(kc[uniq], sizes)
-            kind_valid = (ta + tc) > 0.0
-            kind_total = np.maximum(ta, 0.0) + np.maximum(tc, 0.0)
-            idx = np.asarray(nt_cand)
-            np.maximum.at(total, idx, kind_total[inverse])
-            np.logical_and.at(valid, idx, kind_valid[inverse])
+            uniq, inverse = np.unique(np.asarray(nt_row), return_inverse=True)
+            ta = polyval_rows(ka[uniq], sizes)[inverse]
+            tc = polyval_rows(kc[uniq], sizes)[inverse]
+            _compose(total, valid, nt_cand, ta, tc, nt_bins)
 
         if pt_cand:
             ta_ref, tc_ref, k7, k8, k9, k10, k11 = self._pt_tensors()
@@ -256,11 +248,7 @@ class GridKernel:
             # ((k7 * ref) / P) + k8 and ((k9 * P) * ref) + ((k10 * ref) / P) + k11.
             ta = k7c * ta_rows / p_col + k8c
             tc = k9c * p_col * tc_rows + k10c * tc_rows / p_col + k11c
-            kind_valid = (ta + tc) > 0.0
-            kind_total = np.maximum(ta, 0.0) + np.maximum(tc, 0.0)
-            idx = np.asarray(pt_cand)
-            np.maximum.at(total, idx, kind_total)
-            np.logical_and.at(valid, idx, kind_valid)
+            _compose(total, valid, pt_cand, ta, tc, pt_bins)
 
         adjusted = scale[:, None] * total
         out = np.where(valid, adjusted, np.inf)
@@ -268,17 +256,25 @@ class GridKernel:
             self.stats.record_block(count, width)
         return out
 
-    def _fallback(
-        self, configs: Sequence[object], ns: Sequence[int], count: int, width: int
-    ) -> np.ndarray:
-        if self.batch_fallback is None:
-            raise ModelError(
-                "grid kernel cannot vectorize this estimator "
-                "(non-binned backend or memory bins) and has no fallback"
-            )
-        out = np.empty((count, width), dtype=float)
-        for i, config in enumerate(configs):
-            out[i] = np.asarray(self.batch_fallback(config, ns), dtype=float)
-        if self.stats is not None:
-            self.stats.record_fallback(count)
-        return out
+
+def _compose(
+    total: np.ndarray,
+    valid: np.ndarray,
+    cand: List[int],
+    ta: np.ndarray,
+    tc: np.ndarray,
+    bins: List[Tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Fold per-``(candidate, kind)`` Ta/Tc rows into the composition:
+    memory-bin scaling (``bins`` is empty when bins are off), the
+    pre-clamp ``(Ta + Tc) > 0`` validity test, the clamp, then the
+    max / AND scatter onto each row's candidate."""
+    if bins:
+        factors = np.asarray(bins, dtype=float)
+        ta = ta * factors[:, 0]
+        tc = tc * factors[:, 1]
+    kind_valid = (ta + tc) > 0.0
+    kind_total = np.maximum(ta, 0.0) + np.maximum(tc, 0.0)
+    idx = np.asarray(cand)
+    np.maximum.at(total, idx, kind_total)
+    np.logical_and.at(valid, idx, kind_valid)

@@ -33,7 +33,7 @@ import numpy as np
 from repro.cluster.config import ClusterConfig
 from repro.cluster.spec import ClusterSpec
 from repro.core.adjustment import LinearAdjustment
-from repro.core.binning import KindEstimate, MemoryBin, ModelSelector
+from repro.core.binning import KindEstimate, MemoryBin
 from repro.core.composition import CompositionPolicy
 from repro.core.model_store import ModelStore
 from repro.core.search import SearchOutcome
@@ -177,7 +177,6 @@ class EstimationPipeline:
             perf=self.perf,
             workload=self.workload,
             memory_ratio_fn=self._memory_ratio_for,
-            batch_estimate=self.estimate_totals,
             candidates=lambda: list(self.plan.evaluation_configs),
         )
         self.graph = StageGraph(default_stages(), ctx)
@@ -211,12 +210,6 @@ class EstimationPipeline:
     def models(self):
         """The :class:`~repro.core.estimator.Estimator` facade — the one
         query surface the optimizer, cache and analyses share."""
-        return self.graph.get("estimator")
-
-    @property
-    def selector(self) -> ModelSelector:
-        """Backwards-compatible name for :attr:`models` (the facade *is*
-        the binned selector for the standard protocols)."""
         return self.graph.get("estimator")
 
     @property
@@ -277,19 +270,12 @@ class EstimationPipeline:
         )
 
     def estimate_totals(self, config: ClusterConfig, ns: Sequence[int]) -> np.ndarray:
-        """Vectorized estimates over problem orders: one array of adjusted
-        totals, element-for-element identical to ``estimate(config, n).total``.
-
-        This is the hot inner product of the sweep workloads: per kind it
-        evaluates one polynomial over the whole ``ns`` array instead of
-        ``len(ns)`` scalar model calls (see
-        :meth:`repro.core.estimator.Estimator.estimate_kind_batch`).
-        """
-        config.validate_against(self.spec)
-        total, valid = self.models.estimate_kinds_batch(config, ns)
-        max_mi = max(a.procs_per_pe for a in config.active)
-        adjusted = self.adjustment.scale_for(max_mi) * total
-        return np.where(valid, adjusted, np.inf)
+        """Adjusted totals of one configuration over problem orders,
+        element-for-element bitwise ``estimate(config, n).total``: row 0 of
+        a one-candidate grid-kernel block (see
+        :mod:`repro.core.grid_kernel`).  Uncached; :meth:`estimate_grid`
+        is the cached path."""
+        return self._engine.grid_kernel.evaluate([config], ns)[0]
 
     @property
     def _engine(self) -> SearchEngine:

@@ -88,12 +88,10 @@ class PipelineContext:
     perf: PerfReport
     #: ``(config, n, kind) -> worst-node memory ratio`` (pipeline-supplied).
     memory_ratio_fn: Callable[[ClusterConfig, int, str], float]
-    #: Vectorized adjusted estimates ``(config, [n...]) -> np.ndarray``.
-    batch_estimate: Callable[[ClusterConfig, Sequence[int]], np.ndarray]
     #: Default candidate set for the optimizer.
     candidates: Callable[[], List[ClusterConfig]]
     #: The :class:`repro.workloads.Workload` family being measured; owns
-    #: the simulator, phase decomposition and grid-kernel hook.  ``None``
+    #: the simulator, phase decomposition and memory model.  ``None``
     #: (unit-test graphs) behaves as the standard HPL setup.
     workload: object = None
     graph: "StageGraph" = field(init=False, repr=False, default=None)  # type: ignore[assignment]
@@ -446,7 +444,6 @@ class SearchStage(Stage):
             facade=ctx.artifact("estimator"),
             adjustment=ctx.artifact("adjust"),
             guard_footprint=ctx.config.guard_footprint,
-            batch_estimate=ctx.batch_estimate,
             candidates=ctx.candidates,
             validate=lambda config: config.validate_against(spec),
             perf=ctx.perf,
@@ -456,9 +453,6 @@ class SearchStage(Stage):
                 getattr(ctx.config, "cost", None)
                 if getattr(ctx.config, "cost", None) is not None
                 else getattr(ctx.spec, "cost", None)
-            ),
-            grid_kernel_factory=(
-                ctx.workload.make_grid_kernel if ctx.workload is not None else None
             ),
         )
 
@@ -543,19 +537,16 @@ class SearchEngine:
         facade: Estimator,
         adjustment: LinearAdjustment,
         guard_footprint: float,
-        batch_estimate: Callable[[ClusterConfig, Sequence[int]], np.ndarray],
         candidates: Callable[[], List[ClusterConfig]],
         perf: PerfReport,
         validate: Optional[Callable[[ClusterConfig], None]] = None,
         default_backend: str = DEFAULT_BACKEND,
         seed: int = 0,
         cost_model: Optional[object] = None,
-        grid_kernel_factory: Optional[Callable] = None,
     ):
         self.facade = facade
         self.adjustment = adjustment
         self.guard_footprint = guard_footprint
-        self._batch = batch_estimate
         self._candidates = candidates
         self.perf = perf
         self._validate = validate
@@ -563,10 +554,6 @@ class SearchEngine:
         self.seed = seed
         #: Duck-typed :class:`repro.cost.model.CostModel` (None = unpriced).
         self.cost_model = cost_model
-        #: Per-workload kernel constructor
-        #: (:meth:`repro.workloads.Workload.make_grid_kernel`); ``None``
-        #: builds the standard :class:`GridKernel` directly.
-        self._grid_kernel_factory = grid_kernel_factory
         self._cache: Optional[EstimateCache] = None
         self._grid_kernel: Optional[GridKernel] = None
 
@@ -598,22 +585,9 @@ class SearchEngine:
         """
         if self._grid_kernel is None:
             stats = GridKernelStats()
-            if self._grid_kernel_factory is not None:
-                self._grid_kernel = self._grid_kernel_factory(
-                    self.facade,
-                    self.adjustment,
-                    self._validate,
-                    stats,
-                    self._batch,
-                )
-            else:
-                self._grid_kernel = GridKernel(
-                    self.facade,
-                    self.adjustment,
-                    validate=self._validate,
-                    stats=stats,
-                    batch_fallback=self._batch,
-                )
+            self._grid_kernel = GridKernel(
+                self.facade, self.adjustment, validate=self._validate, stats=stats
+            )
             self.perf.grid = stats
         return self._grid_kernel
 
@@ -623,39 +597,12 @@ class SearchEngine:
         """Adjusted estimates of every ``(config, n)`` cell as a
         ``(C, S)`` array, bitwise the scalar estimates.
 
-        Cache-integrated: every cell is looked up first, the rows with at least one miss go through a
-        single kernel block, and only the missing cells are written back
-        (hit cells keep their cached values, so a warm sweep is pure
-        dictionary lookups).
+        Cache-integrated through :meth:`EstimateCache.fill
+        <repro.perf.cache.EstimateCache.fill>`: the rows with a miss go
+        through a single kernel block, so a warm sweep is pure dictionary
+        lookups.
         """
-        cache = self.estimate_cache
-        sizes = [int(n) for n in ns]
-        count, width = len(configs), len(sizes)
-        out = np.empty((count, width), dtype=float)
-        hit_mask = np.zeros((count, width), dtype=bool)
-        miss_rows: List[int] = []
-        for i, config in enumerate(configs):
-            key = cache.key_of(config)
-            row_full = True
-            for j, n in enumerate(sizes):
-                hit = cache.get(key, n)
-                if hit is None:
-                    row_full = False
-                else:
-                    out[i, j] = hit
-                    hit_mask[i, j] = True
-            if not row_full:
-                miss_rows.append(i)
-        if miss_rows:
-            block_configs = [configs[i] for i in miss_rows]
-            block = self.grid_kernel.evaluate(block_configs, sizes)
-            for r, i in enumerate(miss_rows):
-                key = cache.key_of(configs[i])
-                for j, n in enumerate(sizes):
-                    if not hit_mask[i, j]:
-                        out[i, j] = block[r, j]
-                        cache.put(key, n, float(block[r, j]))
-        return out
+        return self.estimate_cache.fill(configs, ns, self.grid_kernel.evaluate)
 
     def optimizer(
         self,

@@ -30,7 +30,9 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ReproError
 
@@ -141,6 +143,42 @@ class EstimateCache:
         if self.capacity is not None and len(self._data) > self.capacity:
             self._data.popitem(last=False)
             self.stats.evictions += 1
+
+    def fill(
+        self,
+        configs: Sequence[object],
+        ns: Sequence[int],
+        evaluate: Callable[[Sequence[object], Sequence[int]], np.ndarray],
+    ) -> np.ndarray:
+        """The ``(C, S)`` block of ``configs x ns``, cache first.
+
+        Every cell is looked up; the rows with a miss go through one
+        ``evaluate(rows, sizes) -> (R, K)`` call over the sizes any of
+        them missed, and only the missing cells are written back (hit
+        cells keep their cached values).
+        """
+        sizes = [int(n) for n in ns]
+        out = np.empty((len(configs), len(sizes)), dtype=float)
+        keys = [self.key_of(config) for config in configs]
+        missing: List[Tuple[int, int]] = []
+        for i, key in enumerate(keys):
+            for j, n in enumerate(sizes):
+                hit = self.get(key, n)
+                if hit is None:
+                    missing.append((i, j))
+                else:
+                    out[i, j] = hit
+        if missing:
+            rows = sorted({i for i, _ in missing})
+            cols = sorted({j for _, j in missing})
+            block = evaluate([configs[i] for i in rows], [sizes[j] for j in cols])
+            row_at = {i: r for r, i in enumerate(rows)}
+            col_at = {j: c for c, j in enumerate(cols)}
+            for i, j in missing:
+                value = float(block[row_at[i], col_at[j]])
+                out[i, j] = value
+                self.put(keys[i], sizes[j], value)
+        return out
 
     def clear(self) -> None:
         """Drop all entries (counters survive; they describe the session)."""

@@ -87,10 +87,8 @@ class GridKernelStats:
     """Accounting of the candidate-axis grid estimation kernel.
 
     One :meth:`record_block` per kernel invocation (a block of candidate
-    configurations evaluated in one vectorized pass); candidates that had
-    to take the per-candidate scalar/batched path instead — unsupported
-    backend, memory bins — are counted as :attr:`scalar_fallback` rows so
-    the vectorized coverage is observable in ``--profile`` output.
+    configurations evaluated in one vectorized pass), rendered in
+    ``--profile`` output.
     """
 
     #: Kernel invocations (one per evaluated candidate block).
@@ -100,16 +98,11 @@ class GridKernelStats:
     block_candidates: int = 0
     #: candidate x size cells the kernel evaluated vectorized.
     cells: int = 0
-    #: Candidate rows that fell back to the per-candidate batched path.
-    scalar_fallback: int = 0
 
     def record_block(self, candidates: int, sizes: int) -> None:
         self.blocks += 1
         self.block_candidates += candidates
         self.cells += candidates * sizes
-
-    def record_fallback(self, candidates: int) -> None:
-        self.scalar_fallback += candidates
 
     @property
     def candidates_per_block(self) -> float:
@@ -120,18 +113,14 @@ class GridKernelStats:
             "blocks": self.blocks,
             "block_candidates": self.block_candidates,
             "cells": self.cells,
-            "scalar_fallback": self.scalar_fallback,
         }
 
     def describe(self) -> str:
-        detail = (
+        return (
             f"{self.blocks} blocks, "
             f"{self.candidates_per_block:.1f} candidates/block, "
             f"{self.cells} kernel cells"
         )
-        if self.scalar_fallback:
-            detail += f", {self.scalar_fallback} scalar-fallback rows"
-        return detail
 
 
 class PerfReport:

@@ -137,24 +137,6 @@ class Workload:
         """Worst-node memory-pressure ratio for the guard; 0.0 = no model."""
         return 0.0
 
-    # -- search-stage estimator hook -----------------------------------------
-
-    def make_grid_kernel(self, facade, adjustment, validate, stats, batch_fallback):
-        """Build the candidate-axis grid estimator for this family.
-
-        The default is the standard kernel (PR 9); a family whose batch
-        estimator has different broadcast structure overrides this.
-        """
-        from repro.core.grid_kernel import GridKernel
-
-        return GridKernel(
-            facade,
-            adjustment,
-            validate=validate,
-            stats=stats,
-            batch_fallback=batch_fallback,
-        )
-
     # -- inventory ----------------------------------------------------------
 
     def describe(self) -> Dict[str, object]:

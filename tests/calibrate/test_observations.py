@@ -108,6 +108,45 @@ class TestPersistence:
         with pytest.raises(CalibrationError, match="corrupt"):
             ObservationLog(path)
 
+    def test_torn_tail_dropped_and_sequence_continues(self, tmp_path, records):
+        path = tmp_path / "observations.jsonl"
+        with ObservationLog(path) as log:
+            for record in records:
+                log.append(record)
+        data = path.read_bytes()
+        intact = data[: data.rindex(b"\n", 0, len(data) - 1) + 1]
+        path.write_bytes(data[:-40])  # a crash mid-append of the third line
+        with ObservationLog(path) as reopened:
+            assert [o.seq for o in reopened] == [0, 1]
+            assert path.read_bytes() == intact
+            assert reopened.append(records[2]).seq == 2
+        with ObservationLog(path) as final:
+            assert [o.seq for o in final] == [0, 1, 2]
+            assert final[2].record.key() == records[2].key()
+
+    def test_unterminated_whole_tail_is_kept(self, tmp_path, records):
+        path = tmp_path / "observations.jsonl"
+        with ObservationLog(path) as log:
+            log.append(records[0])
+            log.append(records[1])
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        with ObservationLog(path) as reopened:
+            assert len(reopened) == 2
+            assert reopened.append(records[2]).seq == 2
+        with ObservationLog(path) as final:
+            assert [o.seq for o in final] == [0, 1, 2]
+
+    def test_corrupt_middle_line_rejected(self, tmp_path, records):
+        path = tmp_path / "observations.jsonl"
+        with ObservationLog(path) as log:
+            for record in records:
+                log.append(record)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][:40] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(CalibrationError, match=r"corrupt .*:2"):
+            ObservationLog(path)
+
     def test_out_of_sequence_rejected(self, tmp_path, records):
         path = tmp_path / "observations.jsonl"
         with ObservationLog(path) as log:

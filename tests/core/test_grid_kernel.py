@@ -37,6 +37,15 @@ def cfg(p1, m1, p2, m2):
     return ClusterConfig.from_tuple(PAPER_KINDS, (p1, m1, p2, m2))
 
 
+#: HPL ratios spread over all three bins, sorting over the first two,
+#: and Monte Carlo (no memory model, ratio 0) sits in the scaled first.
+MEMORY_BINS = (
+    MemoryBin(max_ratio=0.05, ta_scale=1.25, tc_scale=0.75, label="light"),
+    MemoryBin(max_ratio=0.5, label="fits"),
+    MemoryBin(max_ratio=2.0, ta_scale=1.4, tc_scale=1.1, label="pages"),
+)
+
+
 def strip_grid(backend, pipeline):
     """The scalar reference: the same backend searching the pipeline's
     scalar estimates, lifted cell by cell, instead of the kernel."""
@@ -93,28 +102,34 @@ class TestEstimateGrid:
             for j, n in enumerate(SIZES):
                 assert full[i, j] == pipeline.estimate(config, n).total
 
-    def test_memory_bins_take_fallback_and_stay_bitwise(self, spec):
+    @pytest.mark.parametrize("protocol", ["basic", "nl", "ns"])
+    @pytest.mark.parametrize("workload", ["hpl", "sorting", "montecarlo"])
+    def test_memory_bins_evaluate_in_one_block_bitwise(self, spec, workload, protocol):
         pipeline = EstimationPipeline(
             spec,
             PipelineConfig(
-                protocol="nl",
-                seed=11,
-                memory_bins=(
-                    MemoryBin(max_ratio=0.5, label="fits"),
-                    MemoryBin(
-                        max_ratio=2.0, ta_scale=1.4, tc_scale=1.1, label="pages"
-                    ),
-                ),
+                protocol=protocol, seed=11, workload=workload, memory_bins=MEMORY_BINS
             ),
         )
-        configs = [cfg(1, 2, 8, 1), cfg(0, 0, 4, 1), cfg(1, 1, 0, 0)]
-        grid = pipeline.estimate_grid(configs, SIZES)
-        for i, config in enumerate(configs):
-            for j, n in enumerate(SIZES):
-                assert grid[i, j] == pipeline.estimate(config, n).total
+        configs = pipeline.plan.evaluation_configs
+        sizes = pipeline.plan.evaluation_sizes
+        grid = pipeline.estimate_grid(configs, sizes)
         stats = pipeline.perf.grid
-        assert stats.scalar_fallback == len(configs)
-        assert stats.blocks == 0
+        assert stats.blocks == 1
+        assert stats.cells == len(configs) * len(sizes)
+        scaled = 0
+        for i, config in enumerate(configs):
+            expected = [pipeline.estimate(config, n) for n in sizes]
+            assert grid[i].tolist() == [e.total for e in expected]
+            # The serve path: one single-candidate kernel block.
+            assert pipeline.estimate_totals(config, sizes).tolist() == [
+                e.total for e in expected
+            ]
+            scaled += sum(
+                any(k.bin_label != "fits" for k in e.per_kind) for e in expected
+            )
+        assert scaled > 0  # some rows took a scaling bin
+        assert stats.blocks == 1 + len(configs)
 
     def test_kernel_stats_recorded(self, spec):
         pipeline = EstimationPipeline(spec, PipelineConfig(protocol="ns", seed=13))

@@ -13,7 +13,8 @@ same float estimates (``==``, no tolerances), same evaluation counts,
 same dedup hits, same budget-exhaustion flags.  A budgeted pass repeats
 the comparison where the budget runs out mid-frontier.  Finally
 ``estimate_grid`` itself is swept cell-by-cell against
-``estimate(config, n).total``.
+``estimate(config, n).total``, on the NS pipeline and on an NL pipeline
+with two memory bins (which the kernel must evaluate in its own block).
 
 Exit status is non-zero on any failure.  Run it as::
 
@@ -24,11 +25,16 @@ from __future__ import annotations
 
 import sys
 
+from repro.core.binning import MemoryBin
 from repro.core.pipeline import EstimationPipeline, PipelineConfig
 from repro.core.search import grid_from_scalar, registered_search_backends
 
 SEED = 7
 SMOKE_BUDGETS = (3, 17)
+MEMORY_BINS = (
+    MemoryBin(max_ratio=0.5, label="fits"),
+    MemoryBin(max_ratio=2.0, ta_scale=1.4, tc_scale=1.1, label="pages"),
+)
 
 
 def fail(message: str) -> None:
@@ -86,11 +92,9 @@ def check_backend(pipeline, tag: str, sizes, budget=None) -> int:
     return compared
 
 
-def main() -> None:
-    pipeline = _build_pipeline()
+def check_estimate_grid(pipeline, name: str) -> None:
     sizes = list(pipeline.plan.evaluation_sizes)
     configs = pipeline.plan.evaluation_configs
-
     grid = pipeline.estimate_grid(configs, sizes)
     for i, config in enumerate(configs):
         for j, n in enumerate(sizes):
@@ -98,13 +102,23 @@ def main() -> None:
             got = float(grid[i, j])
             if got != expected and not (got == float("inf") == expected):
                 fail(
-                    f"estimate_grid[{config.label()}, N={n}] = {got!r} "
+                    f"{name} estimate_grid[{config.label()}, N={n}] = {got!r} "
                     f"!= scalar {expected!r}"
                 )
+    stats = pipeline.perf.grid
+    if stats is None or stats.blocks == 0:
+        fail(f"{name}: the grid kernel recorded no block")
     print(
-        f"estimate_grid: {len(configs)}x{len(sizes)} cells bitwise-equal "
-        "to the scalar estimator"
+        f"{name} estimate_grid: {len(configs)}x{len(sizes)} cells "
+        "bitwise-equal to the scalar estimator"
     )
+
+
+def main() -> None:
+    pipeline = _build_pipeline()
+    sizes = list(pipeline.plan.evaluation_sizes)
+    check_estimate_grid(pipeline, "ns")
+    check_estimate_grid(_build_pipeline("nl", MEMORY_BINS), "nl+memory-bins")
 
     for tag in registered_search_backends():
         compared = check_backend(pipeline, tag, sizes)
@@ -123,11 +137,12 @@ def main() -> None:
     print("search grid smoke: OK")
 
 
-def _build_pipeline() -> EstimationPipeline:
+def _build_pipeline(protocol: str = "ns", memory_bins=()) -> EstimationPipeline:
     from repro.cluster.presets import kishimoto_cluster
 
     return EstimationPipeline(
-        kishimoto_cluster(), PipelineConfig(protocol="ns", seed=SEED)
+        kishimoto_cluster(),
+        PipelineConfig(protocol=protocol, seed=SEED, memory_bins=memory_bins),
     )
 
 
